@@ -67,7 +67,6 @@ def sort_and_group(
     instance: PliableInstance,
     active: set[int],
     threshold_n: int | None = None,
-    adj: np.ndarray | None = None,
 ) -> SortingResult:
     """Greedy max-remaining-degree ordering plus dyadic grouping.
 
@@ -76,8 +75,7 @@ def sort_and_group(
     """
     if not active:
         raise ValueError("active set must be nonempty")
-    if adj is None:
-        adj = adjacency_matrix(instance)
+    adj = adjacency_matrix(instance)
     n_thr = len(active) if threshold_n is None else threshold_n
     remaining = np.zeros(instance.n, dtype=bool)
     remaining[sorted(active)] = True
@@ -122,7 +120,6 @@ def greedy_assign(
     group: list[int],
     eff: dict[int, frozenset[int]],
     s: int = 0,
-    neighbor_sets: list[frozenset[int]] | None = None,
     trace: list | None = None,
 ) -> GroupCode:
     """Assign one coding vector per group message, keeping SAT clients maximal.
@@ -134,15 +131,12 @@ def greedy_assign(
     """
     if not group:
         raise ValueError("group must be nonempty")
-    if neighbor_sets is None:
-        adj = adjacency_matrix(instance)
-        neighbor_sets = [frozenset(int(c) for c in np.nonzero(adj[:, j])[0]) for j in range(instance.m)]
-
+    adj = adjacency_matrix(instance)
     sat: dict[int, list[int]] = {}
     unsat: set[int] = set()
     vectors: list[tuple[int, int]] = []
     for j in group:
-        affected = [i for i in neighbor_sets[j] if i in sat]
+        affected = [i for i in np.flatnonzero(adj[:, j]).tolist() if i in sat]
         best_t = 0
         best_keep = -1
         for t in range(3):
@@ -175,8 +169,6 @@ def run_round(
     instance: PliableInstance,
     active: set[int],
     threshold_n: int | None = None,
-    adj: np.ndarray | None = None,
-    neighbor_sets: list[frozenset[int]] | None = None,
 ) -> tuple[list[GroupCode], np.ndarray, set[int], SortingResult]:
     """One round: sort, group, and emit two rows per nonempty group.
 
@@ -184,7 +176,7 @@ def run_round(
     zero outside the group's columns), the set of clients satisfied this
     round, and the sorting result.
     """
-    sr = sort_and_group(instance, active, threshold_n=threshold_n, adj=adj)
+    sr = sort_and_group(instance, active, threshold_n=threshold_n)
     eff_by_msg = dict(zip(sr.order, sr.eff_clients))
     group_codes: list[GroupCode] = []
     rows: list[np.ndarray] = []
@@ -192,7 +184,7 @@ def run_round(
     for s_idx, group in enumerate(sr.groups, start=1):
         if not group:
             continue
-        gc = greedy_assign(instance, group, eff_by_msg, s=s_idx, neighbor_sets=neighbor_sets)
+        gc = greedy_assign(instance, group, eff_by_msg, s=s_idx)
         group_codes.append(gc)
         r0 = np.zeros(instance.m, dtype=np.int64)
         r1 = np.zeros(instance.m, dtype=np.int64)
@@ -208,24 +200,19 @@ def run_round(
 def bingreedy(
     instance: PliableInstance,
     use_original_n: bool = False,
-    prune: bool = False,
 ) -> tuple[FMatrix, RunReport]:
     """Run rounds until every client is satisfied; stack all rows over F_2.
 
     use_original_n switches the grouping thresholds from the per-round
-    |active| to the instance's original client count. prune drops all-zero
-    rows from the returned matrix; the report always carries both counts.
+    |active| to the instance's original client count. The returned matrix
+    keeps its all-zero rows; the report carries both row counts.
     """
     active = instance.initial_active()
-    adj = adjacency_matrix(instance)
-    neighbor_sets = [frozenset(int(c) for c in np.nonzero(adj[:, j])[0]) for j in range(instance.m)]
     all_rows: list[np.ndarray] = []
     round_records: list[RoundRecord] = []
     while active:
         thr = instance.n if use_original_n else None
-        group_codes, rows, satisfied, _ = run_round(
-            instance, active, threshold_n=thr, adj=adj, neighbor_sets=neighbor_sets
-        )
+        group_codes, rows, satisfied, _ = run_round(instance, active, threshold_n=thr)
         if not satisfied:
             raise EncoderStallError(
                 f"round satisfied zero of {len(active)} active clients; "
@@ -246,6 +233,7 @@ def bingreedy(
         np.vstack(all_rows) if all_rows else np.zeros((0, instance.m), dtype=np.int64)
     )
     matrix = FMatrix.from_rows(stacked, 2)
-    pruned = matrix.prune_zero_rows()
-    report = RunReport(rounds=round_records, rows_raw=matrix.n_rows, rows_pruned=pruned.n_rows)
-    return (pruned if prune else matrix), report
+    report = RunReport(
+        rounds=round_records, rows_raw=matrix.n_rows, rows_pruned=matrix.prune_zero_rows().n_rows
+    )
+    return matrix, report

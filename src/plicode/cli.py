@@ -91,19 +91,20 @@ def cmd_gen(args) -> int:
 def cmd_encode(args) -> int:
     instance = load_instance(args.instance)
     if args.alg == "bingreedy":
-        matrix, report = bingreedy(instance, use_original_n=args.use_original_n, prune=args.prune)
+        matrix, report = bingreedy(instance, use_original_n=args.use_original_n)
         report_obj = report.to_json()
     elif args.alg == "randomized":
         matrix, report = randomized_code(instance, seed=args.seed, stopping=args.stopping)
-        if args.prune:
-            matrix = matrix.prune_zero_rows()
         report_obj = report.to_json()
     else:
-        res = optimal_code_length(instance, q=args.q, max_K=args.max_k or instance.m)
+        max_k = instance.m if args.max_k is None else args.max_k
+        res = optimal_code_length(instance, q=args.q, max_K=max_k)
         if res.witness is None:
-            raise CliError(f"encode optimal: no code of length <= {args.max_k} found")
+            raise CliError(f"encode optimal: no code of length <= {max_k} found")
         matrix = res.witness
         report_obj = res.to_json()
+    if args.prune:
+        matrix = matrix.prune_zero_rows()
     if not is_valid_code(matrix, instance):
         raise CliError(f"encode {args.alg}: produced matrix failed verification")
     _write_json(matrix.to_json(), args.matrix_out)
@@ -114,17 +115,19 @@ def cmd_encode(args) -> int:
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     matrix = load_matrix(args.matrix)
-    ok = is_valid_code(matrix, instance)
-    _, report = satisfied_set(matrix, instance, instance.initial_active())
+    active = instance.initial_active()
+    satisfied, report = satisfied_set(matrix, instance, active)
+    valid = satisfied == active
     if args.report_out:
         _write_json(report_to_json(report), args.report_out)
-    print("valid" if ok else "invalid")
-    return 0 if ok else 1
+    print("valid" if valid else "invalid")
+    return 0 if valid else 1
 
 
 def cmd_minrank(args) -> int:
     instance = load_instance(args.instance)
-    res = minrank_fitted(instance, q=args.q, max_r=args.max_r or instance.m)
+    max_r = instance.m if args.max_r is None else args.max_r
+    res = minrank_fitted(instance, q=args.q, max_r=max_r)
     _write_json(res.to_json(), args.out)
     return 0
 
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--q", type=int, default=2, help="field order for --alg optimal")
     p.add_argument("--max-k", type=int, default=None, help="length cap for --alg optimal")
-    p.add_argument("--prune", action="store_true", help="drop all-zero rows from the matrix")
+    p.add_argument("--prune", action="store_true", help="drop all-zero rows from the matrix (any --alg)")
     p.add_argument("--use-original-n", action="store_true", help="fixed grouping thresholds")
     p.add_argument("--stopping", choices=["exactly_one", "cumulative"], default="exactly_one")
     p.set_defaults(func=cmd_encode)

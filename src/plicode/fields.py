@@ -49,17 +49,8 @@ class FieldSpec:
         if not is_prime(self.q):
             raise FieldError(f"field order must be a prime >= 2, got {self.q}")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
 
     def inv(self, a: int) -> int:
         a %= self.q
@@ -100,9 +91,6 @@ class FMatrix:
     @property
     def n_cols(self) -> int:
         return self.entries.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j].copy()
 
     def mul_vector(self, b) -> np.ndarray:
         """Compute x = A b mod q."""
@@ -178,16 +166,9 @@ def rank_gf2_bits(a: np.ndarray) -> int:
     return rank
 
 
-def rank(mat: FMatrix, method: str = "auto") -> int:
-    """Rank of a matrix over its field.
-
-    method: "auto" picks the bitset path for F_2, "generic" forces plain
-    elimination, "bitset" forces the F_2 path (error for q != 2). Both paths
-    are behaviorally identical; tests exercise them against each other.
-    """
-    if method == "bitset" or (method == "auto" and mat.field.q == 2):
-        if mat.field.q != 2:
-            raise FieldError("bitset rank path requires q = 2")
+def rank(mat: FMatrix) -> int:
+    """Rank of a matrix over its field; F_2 takes the bitset path."""
+    if mat.field.q == 2:
         return rank_gf2_bits(mat.entries)
     return rank_generic(mat.entries, mat.field.q)
 
@@ -210,6 +191,20 @@ def in_span(v, vectors, spec: FieldSpec) -> bool:
     return r1 == r0
 
 
+def _determined(r: np.ndarray, pivots: list[int], n_cols: int) -> np.ndarray:
+    """Mask of the pivots among the first n_cols RREF columns whose row is zero on every free column.
+
+    Exactly these coordinates vanish in every null-space vector, so they
+    take one value across all solutions.
+    """
+    out = np.zeros(n_cols, dtype=bool)
+    pivot_set = set(pivots)
+    free = np.array([c for c in range(n_cols) if c not in pivot_set], dtype=np.int64)
+    for row_idx, col in enumerate(pivots):
+        out[col] = free.size == 0 or not np.any(r[row_idx, free])
+    return out
+
+
 def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
     """Boolean mask of columns not contained in the span of the other columns.
 
@@ -217,17 +212,8 @@ def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
     the matrix has a zero j-th coordinate, which can be read off the RREF:
     j must be a pivot column whose pivot row is zero on all free columns.
     """
-    a = np.asarray(a, dtype=np.int64)
-    n_cols = a.shape[1]
-    out = np.zeros(n_cols, dtype=bool)
-    if n_cols == 0:
-        return out
     r, pivots = _rref(a, q)
-    pivot_set = set(pivots)
-    free = np.array([c for c in range(n_cols) if c not in pivot_set], dtype=np.int64)
-    for row_idx, col in enumerate(pivots):
-        out[col] = free.size == 0 or not np.any(r[row_idx, free])
-    return out
+    return _determined(r, pivots, r.shape[1])
 
 
 @dataclass(frozen=True)
@@ -255,10 +241,6 @@ def solve_consistent(mat: FMatrix, rhs) -> LinearSolution:
     if m in pivots:
         raise InconsistentSystemError("rhs is not in the column space")
     values = np.zeros(m, dtype=np.int64)
-    unique = np.zeros(m, dtype=bool)
-    pivot_set = set(pivots)
-    free = np.array([c for c in range(m) if c not in pivot_set], dtype=np.int64)
     for row_idx, col in enumerate(pivots):
         values[col] = r[row_idx, m]
-        unique[col] = free.size == 0 or not np.any(r[row_idx, free])
-    return LinearSolution(values=values, unique=unique)
+    return LinearSolution(values=values, unique=_determined(r, pivots, m))

@@ -7,6 +7,7 @@ comparing against hand-worked examples.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -34,6 +35,18 @@ class PliableInstance:
     @property
     def n(self) -> int:
         return len(self.requirements)
+
+    @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only n x m boolean matrix: entry (i, j) iff client i requires message j.
+
+        Built on first access, then shared by every caller.
+        """
+        adj = np.zeros((self.n, self.m), dtype=bool)
+        for i, r in enumerate(self.requirements):
+            adj[i, list(r)] = True
+        adj.setflags(write=False)
+        return adj
 
     def side_info(self, i: int) -> frozenset[int]:
         return frozenset(range(self.m)) - self.requirements[i]
@@ -124,16 +137,12 @@ def neighbors(instance: PliableInstance, j: int) -> frozenset[int]:
     """Clients requiring message j."""
     if not 0 <= j < instance.m:
         raise InstanceError(f"message index {j} out of range [0, {instance.m})")
-    return frozenset(i for i in range(instance.n) if j in instance.requirements[i])
+    return frozenset(np.flatnonzero(instance.adjacency[:, j]).tolist())
 
 
 def adjacency_matrix(instance: PliableInstance) -> np.ndarray:
-    """n x m boolean matrix: entry (i, j) iff client i requires message j."""
-    adj = np.zeros((instance.n, instance.m), dtype=bool)
-    for i, r in enumerate(instance.requirements):
-        if r:
-            adj[i, sorted(r)] = True
-    return adj
+    """The instance's cached, read-only n x m boolean adjacency."""
+    return instance.adjacency
 
 
 def instance_hash(instance: PliableInstance) -> str:

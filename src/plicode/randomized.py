@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bingreedy import _band_index
 from .fields import FMatrix, essential_columns
 from .instances import PliableInstance, adjacency_matrix
 from .reports import BinRecord, RunReport
@@ -30,13 +31,6 @@ class BinPlan:
     n: int
     bins: dict[int, frozenset[int]]
     probs: dict[int, float]
-
-
-def _band_index(degree: int, n: int) -> int:
-    s = 1
-    while (degree << s) <= n:
-        s += 1
-    return s
 
 
 def plan_bins(instance: PliableInstance) -> BinPlan:
@@ -82,7 +76,7 @@ def randomized_code(
     bin_records: list[BinRecord] = []
     for s in sorted(plan.bins):
         clients = sorted(plan.bins[s])
-        sub = adj[clients].astype(np.int64)
+        sub = adj[clients]
         p = plan.probs[s]
         rng = np.random.default_rng(_seed_stream(seed, s))
         unsat = np.ones(len(clients), dtype=bool)
@@ -96,7 +90,7 @@ def randomized_code(
             row = (rng.random(m) < p).astype(np.int64)
             rows.append(row)
             if stopping == "exactly_one":
-                unsat &= (sub @ row) != 1
+                unsat &= np.count_nonzero(sub[:, row == 1], axis=1) != 1
             else:
                 cum = np.array(rows, dtype=np.int64)
                 for t in np.nonzero(unsat)[0]:

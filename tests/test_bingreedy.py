@@ -191,9 +191,11 @@ class TestBinGreedy:
         assert is_valid_code(matrix, inst)
 
     def test_prune_flag(self, demo_instance):
-        matrix, report = bingreedy(demo_instance, prune=True)
-        assert matrix.n_rows == report.rows_pruned == 3
-        assert is_valid_code(matrix, demo_instance)
+        # Dropping the all-zero rows leaves report.rows_pruned rows and a valid code.
+        matrix, report = bingreedy(demo_instance)
+        pruned = matrix.prune_zero_rows()
+        assert pruned.n_rows == report.rows_pruned == 3
+        assert is_valid_code(pruned, demo_instance)
 
     def test_vacuous_only_instance(self):
         inst = build_instance(3, [set(), set()])

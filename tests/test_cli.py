@@ -78,6 +78,15 @@ class TestEncode:
         matrix = FMatrix.from_json(json.loads(mat_out.read_text()))
         assert matrix.n_rows == 3
 
+    def test_randomized_prune(self, tmp_path, demo_file):
+        mat_out, rep_out = tmp_path / "mat.json", tmp_path / "rep.json"
+        assert main(["encode", "--alg", "randomized", "--seed", "5", "--prune",
+                     "--instance", demo_file, "--matrix-out", str(mat_out),
+                     "--report-out", str(rep_out)]) == 0
+        matrix = FMatrix.from_json(json.loads(mat_out.read_text()))
+        assert matrix.n_rows == json.loads(rep_out.read_text())["rows_pruned"]
+        assert matrix.entries.any(axis=1).all()
+
     def test_randomized_seeded(self, tmp_path, demo_file):
         outs = []
         for name in ("m1.json", "m2.json"):
@@ -104,6 +113,15 @@ class TestEncode:
                    "--report-out", str(tmp_path / "r.json")])
         assert rc == 2
         assert "no code" in capsys.readouterr().err
+
+    def test_optimal_zero_cap_is_a_cap(self, demo_file, tmp_path, capsys):
+        # --max-k 0 allows only the empty code, not "no cap".
+        rc = main(["encode", "--alg", "optimal", "--max-k", "0",
+                   "--instance", demo_file,
+                   "--matrix-out", str(tmp_path / "m.json"),
+                   "--report-out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "no code of length <= 0" in capsys.readouterr().err
 
     def test_bad_instance_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -161,6 +179,12 @@ class TestMinrank:
         rc = main(["minrank", "--instance", quad_file, "--q", "3"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["K"] == 2
+
+    def test_zero_cap_is_a_cap(self, quad_file, capsys):
+        # --max-r 0 searches no dimension at all, so nothing is found.
+        rc = main(["minrank", "--instance", quad_file, "--q", "3", "--max-r", "0"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["K"] is None
 
 
 class TestBench:

@@ -41,7 +41,7 @@ class TestDecodableMessages:
             expected = {
                 j
                 for j in req
-                if not in_span(mat.column(j), [mat.column(t) for t in req if t != j], spec)
+                if not in_span(mat.entries[:, j], [mat.entries[:, t] for t in req if t != j], spec)
             }
             assert decodable_messages(mat, inst, i) == expected
 

@@ -134,6 +134,33 @@ class TestNeighbors:
             neighbors(demo_instance, 3)
 
 
+class TestAdjacency:
+    def test_cached_and_read_only(self, demo_instance):
+        adj = adjacency_matrix(demo_instance)
+        assert adjacency_matrix(demo_instance) is adj
+        with pytest.raises(ValueError):
+            adj[0, 0] = False
+        # The cache is not part of the instance's value.
+        assert demo_instance == build_instance(3, [set(r) for r in demo_instance.requirements])
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            random_instance(40, 9, 0.3, seed=7),
+            all_pairs_instance(5),
+            build_instance(4, [set(), {1, 3}, set(), {0}]),
+        ],
+        ids=["random", "all-pairs", "vacuous"],
+    )
+    def test_matches_per_client_construction(self, inst):
+        expected = np.zeros((inst.n, inst.m), dtype=bool)
+        for i, r in enumerate(inst.requirements):
+            for j in r:
+                expected[i, j] = True
+        adj = adjacency_matrix(inst)
+        assert adj.dtype == bool and np.array_equal(adj, expected)
+
+
 class TestSerialization:
     def test_json_roundtrip(self, demo_instance):
         obj = demo_instance.to_json()

@@ -1,5 +1,9 @@
 """Command-line front end: instance generation, encoding, verification,
-minrank queries, benchmarks, and the field-size counterexample suite."""
+minrank queries, benchmarks, and the field-size counterexample suite.
+
+Exit codes: 0 ok, 1 invalid code (verify) or a failed check (counterexample),
+2 usage or input error, 3 internal invariant failure.
+"""
 
 from __future__ import annotations
 
@@ -8,23 +12,42 @@ import json
 import os
 import sys
 
-from .bench import ExperimentConfig, run_benchmark, write_csv
-from .bingreedy import bingreedy
+from .bench import BenchmarkError, ExperimentConfig, run_benchmark, write_csv
+from .bingreedy import EncoderStallError, bingreedy
 from .decoding import is_valid_code, report_to_json, satisfied_set
-from .fields import FMatrix
-from .instances import PliableInstance, all_pairs_instance, random_instance
+from .fields import DimensionError, FieldError, FMatrix, InconsistentSystemError
+from .instances import InstanceError, PliableInstance, all_pairs_instance, random_instance
 from .oracle import (
     BudgetError,
+    OracleError,
     count_pairwise_independent,
     min_field_for_length2,
     minrank_fitted,
     optimal_code_length,
 )
-from .randomized import randomized_code
+from .randomized import RandomizedCapError, randomized_code
 
 
 class CliError(Exception):
     """User-facing CLI failure; the message names the offending flag/file."""
+
+
+class SelfCheckError(RuntimeError):
+    """An encoder's output failed the CLI's own re-verification."""
+
+
+# Exit 2: the user's arguments or files are at fault (OSError: an output path
+# that cannot be written; unreadable inputs already raise CliError).
+INPUT_ERRORS = (CliError, BudgetError, InstanceError, FieldError, DimensionError, OSError)
+# Exit 3: an invariant the program itself guarantees was broken.
+INTERNAL_ERRORS = (
+    SelfCheckError,
+    EncoderStallError,
+    OracleError,
+    RandomizedCapError,
+    BenchmarkError,
+    InconsistentSystemError,
+)
 
 
 def _default_seed() -> int:
@@ -106,7 +129,7 @@ def cmd_encode(args) -> int:
     if args.prune:
         matrix = matrix.prune_zero_rows()
     if not is_valid_code(matrix, instance):
-        raise CliError(f"encode {args.alg}: produced matrix failed verification")
+        raise SelfCheckError(f"encode {args.alg}: produced matrix failed verification")
     _write_json(matrix.to_json(), args.matrix_out)
     _write_json(report_obj, args.report_out)
     return 0
@@ -133,16 +156,19 @@ def cmd_minrank(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = ExperimentConfig(
-        n_values=tuple(args.n),
-        p=args.p,
-        instances=args.instances,
-        base_seed=args.seed,
-        algorithms=tuple(args.algs),
-        m_rule="fixed" if args.m_fixed else "n075",
-        m_fixed=args.m_fixed,
-        timing=not args.no_timing,
-    )
+    try:
+        config = ExperimentConfig(
+            n_values=tuple(args.n),
+            p=args.p,
+            instances=args.instances,
+            base_seed=args.seed,
+            algorithms=tuple(args.algs),
+            m_rule="fixed" if args.m_fixed else "n075",
+            m_fixed=args.m_fixed,
+            timing=not args.no_timing,
+        )
+    except ValueError as exc:
+        raise CliError(f"bench: {exc}") from exc
     rows, summary = run_benchmark(config)
     write_csv(rows, args.out)
     if args.summary_out:
@@ -243,10 +269,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except INTERNAL_ERRORS as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,18 +1,27 @@
 """Client-side decodability: which messages a coding matrix delivers.
 
 A client can uniquely decode message j iff column a_j lies outside the
-span of the other columns indexed by its requirement set. All checks here
-reduce to one RREF per client via fields.essential_columns.
+span of the other columns indexed by its requirement set. Over F_2 the
+whole-code checks pack the code once and run the bit-packed kernel
+(fields.gf2_essential) per client; over q > 2, and for a single client,
+they go through fields.essential_columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .fields import DimensionError, FMatrix, essential_columns, solve_consistent
+from .fields import (
+    DimensionError,
+    FMatrix,
+    essential_columns,
+    gf2_column_words,
+    gf2_essential,
+    solve_consistent,
+)
 from .instances import PliableInstance
 
 
@@ -47,6 +56,23 @@ def decodable_messages(mat: FMatrix, instance: PliableInstance, i: int) -> set[i
     return {req[t] for t in np.nonzero(mask)[0]}
 
 
+def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[int, int | None]]:
+    """(i, smallest message client i decodes, or None) for each non-vacuous client, in order."""
+    _check_shape(mat, instance)
+    q = mat.field.q
+    words = gf2_column_words(mat.entries) if q == 2 else None
+    for i, r in enumerate(instance.requirements):
+        if not r:
+            continue
+        req = sorted(r)
+        if words is not None:
+            ess = gf2_essential([words[j] for j in req])
+            yield i, req[(ess & -ess).bit_length() - 1] if ess else None
+        else:
+            hit = np.flatnonzero(essential_columns(mat.entries[:, req], q))
+            yield i, req[hit[0]] if hit.size else None
+
+
 def satisfied_set(
     mat: FMatrix, instance: PliableInstance, active: Iterable[int]
 ) -> tuple[set[int], list[ClientStatus]]:
@@ -55,34 +81,23 @@ def satisfied_set(
     The delivered message j* is the smallest decodable index, so reruns are
     reproducible. The report covers every client of the instance.
     """
-    _check_shape(mat, instance)
     active = set(active)
-    satisfied: set[int] = set()
+    first = dict(_first_decodable(mat, instance))
+    satisfied = {i for i, j in first.items() if j is not None and i in active}
     report: list[ClientStatus] = []
     for i in range(instance.n):
-        if instance.is_vacuous(i):
+        if i not in first:
             report.append(ClientStatus(i, "vacuous"))
-            continue
-        dec = decodable_messages(mat, instance, i)
-        if dec:
-            report.append(ClientStatus(i, "satisfied", min(dec)))
-            if i in active:
-                satisfied.add(i)
-        else:
+        elif first[i] is None:
             report.append(ClientStatus(i, "unsatisfied"))
+        else:
+            report.append(ClientStatus(i, "satisfied", first[i]))
     return satisfied, report
 
 
 def is_valid_code(mat: FMatrix, instance: PliableInstance) -> bool:
     """True iff every non-vacuous client can decode at least one required message."""
-    _check_shape(mat, instance)
-    for i in range(instance.n):
-        req = sorted(instance.requirements[i])
-        if not req:
-            continue
-        if not essential_columns(mat.entries[:, req], mat.field.q).any():
-            return False
-    return True
+    return all(j is not None for _, j in _first_decodable(mat, instance))
 
 
 def decode_value(
@@ -110,7 +125,7 @@ def decode_value(
     req = sorted(instance.requirements[i])
     if side:
         sv = np.array([side_values[j] for j in side], dtype=np.int64) % q
-        x = (x - mat.entries[:, side] @ sv) % q
+        x = (x - FMatrix(mat.entries[:, side], mat.field).mul_vector(sv)) % q
     sub = FMatrix(mat.entries[:, req], mat.field)
     sol = solve_consistent(sub, x)
     uniq = np.nonzero(sol.unique)[0]

@@ -1,6 +1,10 @@
 """Linear algebra over prime fields F_q.
 
-Matrices are dense numpy integer arrays with entries reduced mod q.
+Matrices are dense numpy integer arrays with entries reduced mod q. Over
+F_2, rank and decodability run on one bit-packed kernel: each column is a
+Python int with row r at bit r, eliminated by XOR. Over q > 2 they run on
+an int64 RREF; field orders are capped at MAX_ORDER so that every product
+of two reduced entries fits in int64.
 Degenerate-shape conventions: an empty matrix has rank 0, and the span of
 an empty set of vectors is {0}.
 """
@@ -9,8 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+
+# Largest accepted field order: reduced entries stay below 2^31, so any
+# product of two of them fits in int64.
+MAX_ORDER = 2**31 - 1
 
 
 class FieldError(ValueError):
@@ -29,8 +38,18 @@ class InconsistentSystemError(ValueError):
     """
 
 
+def is_integer(x) -> bool:
+    """True for Python and numpy integers; False for bool, float, str and the rest."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_order(q: int) -> None:
+    if q > MAX_ORDER:
+        raise FieldError(f"field order must be <= {MAX_ORDER}, got {q}")
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for the small moduli used here."""
+    """Trial-division primality test: at most ~46k divisions for any order up to MAX_ORDER."""
     if n < 2:
         return False
     for d in range(2, math.isqrt(n) + 1):
@@ -46,6 +65,7 @@ class FieldSpec:
     q: int
 
     def __post_init__(self):
+        _check_order(self.q)
         if not is_prime(self.q):
             raise FieldError(f"field order must be a prime >= 2, got {self.q}")
 
@@ -93,11 +113,12 @@ class FMatrix:
         return self.entries.shape[1]
 
     def mul_vector(self, b) -> np.ndarray:
-        """Compute x = A b mod q."""
+        """Compute x = A b mod q, reducing each product before the sum so no term overflows."""
+        q = self.field.q
         b = np.asarray(b, dtype=np.int64)
         if b.shape != (self.n_cols,):
             raise DimensionError(f"vector length {b.shape} incompatible with {self.n_cols} columns")
-        return (self.entries @ b) % self.field.q
+        return ((self.entries * (b % q)) % q).sum(axis=1) % q
 
     def prune_zero_rows(self) -> "FMatrix":
         keep = np.any(self.entries != 0, axis=1)
@@ -111,11 +132,23 @@ class FMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FMatrix":
-        return cls.from_rows(obj["rows"], int(obj["q"]))
+        """Parse {"q": int, "rows": [[int, ...], ...]}; any non-integer value is rejected."""
+        q, rows = obj["q"], obj["rows"]
+        if not is_integer(q):
+            raise FieldError(f"field order must be an integer, got {q!r}")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise DimensionError("rows must be a list of lists")
+        bad = [x for r in rows for x in r if not is_integer(x)]
+        if bad:
+            raise FieldError(f"matrix entries must be integers, got {bad[0]!r}")
+        if len({len(r) for r in rows}) > 1:
+            raise DimensionError("rows must all have the same length")
+        return cls.from_rows(rows, q)
 
 
 def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q; returns (R, pivot column list)."""
+    _check_order(q)
     r = np.asarray(a, dtype=np.int64).copy() % q
     n_rows, n_cols = r.shape
     pivots: list[int] = []
@@ -148,28 +181,46 @@ def rank_generic(a: np.ndarray, q: int) -> int:
     return len(_rref(a, q)[1])
 
 
-def rank_gf2_bits(a: np.ndarray) -> int:
-    """Rank over F_2 using bit-packed rows (python ints as bitsets)."""
-    a = np.asarray(a, dtype=np.int64) % 2
-    if a.size == 0:
-        return 0
-    words = [int("".join("1" if x else "0" for x in row), 2) if row.any() else 0 for row in a]
-    rank = 0
-    basis: list[int] = []
-    for w in words:
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+def gf2_column_words(a: np.ndarray) -> list[int]:
+    """Each column of a 0/1 matrix as one Python int, row r at bit r; any row count."""
+    packed = np.packbits(np.asarray(a).T & 1, axis=1, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed]
+
+
+def _gf2_eliminate(words: Sequence[int]) -> tuple[int, int]:
+    """XOR-basis insertion of packed F_2 columns; returns (rank, dependent-column mask).
+
+    Each basis vector, keyed by its leading bit, carries the mask of input
+    columns that sum to it. A column that reduces to zero yields one null-space
+    vector (its mask); these span the null space, so their OR is the set of
+    columns that occur in some dependency.
+    """
+    basis: dict[int, tuple[int, int]] = {}
+    dependent = 0
+    for t, w in enumerate(words):
+        combo = 1 << t
+        while w:
+            lead = w.bit_length()
+            hit = basis.get(lead)
+            if hit is None:
+                basis[lead] = (w, combo)
+                break
+            w ^= hit[0]
+            combo ^= hit[1]
+        else:
+            dependent |= combo
+    return len(basis), dependent
+
+
+def gf2_essential(words: Sequence[int]) -> int:
+    """Bit t set iff packed column t lies outside the F_2 span of the others."""
+    return ((1 << len(words)) - 1) & ~_gf2_eliminate(words)[1]
 
 
 def rank(mat: FMatrix) -> int:
-    """Rank of a matrix over its field; F_2 takes the bitset path."""
+    """Rank of a matrix over its field; F_2 takes the bit-packed kernel."""
     if mat.field.q == 2:
-        return rank_gf2_bits(mat.entries)
+        return _gf2_eliminate(gf2_column_words(mat.entries))[0]
     return rank_generic(mat.entries, mat.field.q)
 
 
@@ -209,9 +260,14 @@ def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
     """Boolean mask of columns not contained in the span of the other columns.
 
     Column j is outside the span of the rest iff every null-space vector of
-    the matrix has a zero j-th coordinate, which can be read off the RREF:
-    j must be a pivot column whose pivot row is zero on all free columns.
+    the matrix has a zero j-th coordinate. Over F_2 the bit-packed kernel
+    finds this directly; otherwise it is read off the RREF: j must be a
+    pivot column whose pivot row is zero on all free columns.
     """
+    if q == 2:
+        words = gf2_column_words(a)
+        ess = gf2_essential(words)
+        return np.array([(ess >> t) & 1 for t in range(len(words))], dtype=bool)
     r, pivots = _rref(a, q)
     return _determined(r, pivots, r.shape[1])
 

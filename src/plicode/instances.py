@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fields import is_integer
+
 
 class InstanceError(ValueError):
     """Malformed instance data."""
@@ -66,7 +68,7 @@ class PliableInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PliableInstance":
-        return build_instance(int(obj["m"]), obj["requirements"])
+        return build_instance(obj["m"], obj["requirements"])
 
     def to_text(self) -> str:
         """Line format: "m n" header, then one line of required indices per client."""
@@ -76,6 +78,7 @@ class PliableInstance:
 
     @classmethod
     def from_text(cls, text: str) -> "PliableInstance":
+        """Parse the line format; only blank lines may follow the n-th client line."""
         lines = text.split("\n")
         if not lines or not lines[0].strip():
             raise InstanceError("missing 'm n' header line")
@@ -83,24 +86,39 @@ class PliableInstance:
             m, n = (int(t) for t in lines[0].split())
         except ValueError as exc:
             raise InstanceError(f"bad header line {lines[0]!r}") from exc
+        if n < 0:
+            raise InstanceError(f"client count must be >= 0, got {n}")
         body = lines[1 : n + 1]
         if len(body) < n:
             raise InstanceError(f"expected {n} client lines, got {len(body)}")
-        reqs = [[int(t) for t in line.split()] for line in body]
+        extra = [k for k, line in enumerate(lines[n + 1 :], start=n + 2) if line.strip()]
+        if extra:
+            raise InstanceError(f"line {extra[0]}: content after the {n} client lines")
+        try:
+            reqs = [[int(t) for t in line.split()] for line in body]
+        except ValueError as exc:
+            raise InstanceError(f"client lines must hold integer indices: {exc}") from exc
         return build_instance(m, reqs)
 
 
 def build_instance(m: int, requirements: Sequence[Iterable[int]]) -> PliableInstance:
-    """Validate and build an instance; duplicate indices within a set collapse."""
-    if m < 0:
-        raise InstanceError(f"message count must be >= 0, got {m}")
+    """Validate and build an instance; duplicate indices within a set collapse.
+
+    m and every index must be integers (bool, float and str are rejected,
+    never truncated).
+    """
+    if not is_integer(m) or m < 0:
+        raise InstanceError(f"message count must be an integer >= 0, got {m!r}")
+    m = int(m)
     reqs = []
     for i, r in enumerate(requirements):
-        rs = frozenset(int(j) for j in r)
-        for j in rs:
+        r = list(r)
+        for j in r:
+            if not is_integer(j):
+                raise InstanceError(f"client {i}: message index must be an integer, got {j!r}")
             if not 0 <= j < m:
                 raise InstanceError(f"client {i}: message index {j} out of range [0, {m})")
-        reqs.append(rs)
+        reqs.append(frozenset(int(j) for j in r))
     return PliableInstance(m=m, requirements=tuple(reqs))
 
 

@@ -4,9 +4,14 @@ import json
 
 import pytest
 
+from plicode import cli
+from plicode.bench import BenchmarkError
+from plicode.bingreedy import EncoderStallError
 from plicode.cli import main
-from plicode.fields import FMatrix
+from plicode.fields import FMatrix, InconsistentSystemError
 from plicode.instances import PliableInstance
+from plicode.oracle import OracleError
+from plicode.randomized import RandomizedCapError
 
 from conftest import DEMO_REQUIREMENTS
 
@@ -224,3 +229,67 @@ class TestCounterexample:
         lines = [l for l in out.splitlines() if l]
         assert len(lines) == 9
         assert all(l.startswith("PASS") for l in lines)
+
+
+class TestExitCodes:
+    """0 ok, 1 invalid code, 2 usage or input error, 3 internal invariant failure."""
+
+    @pytest.mark.parametrize(
+        "target, error, argv",
+        [
+            ("bingreedy", EncoderStallError, ["encode", "--alg", "bingreedy"]),
+            ("bingreedy", InconsistentSystemError, ["encode", "--alg", "bingreedy"]),
+            ("randomized_code", RandomizedCapError, ["encode", "--alg", "randomized"]),
+            ("optimal_code_length", OracleError, ["encode", "--alg", "optimal"]),
+            ("run_benchmark", BenchmarkError, ["bench", "--n", "10"]),
+        ],
+    )
+    def test_internal_error_exits_3(self, monkeypatch, tmp_path, demo_file, capsys,
+                                    target, error, argv):
+        def fail(*args, **kwargs):
+            raise error("invariant broken")
+
+        monkeypatch.setattr(cli, target, fail)
+        if argv[0] == "encode":
+            argv = argv + ["--instance", demo_file, "--matrix-out", str(tmp_path / "m.json"),
+                           "--report-out", str(tmp_path / "r.json")]
+        else:
+            argv = argv + ["--out", str(tmp_path / "b.csv")]
+        assert main(argv) == 3
+        assert "error: internal: invariant broken" in capsys.readouterr().err
+
+    def test_encoder_output_failing_self_check_exits_3(self, monkeypatch, tmp_path,
+                                                       demo_file, capsys):
+        monkeypatch.setattr(cli, "is_valid_code", lambda matrix, instance: False)
+        rc = main(["encode", "--alg", "bingreedy", "--instance", demo_file,
+                   "--matrix-out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert "error: internal:" in capsys.readouterr().err
+
+    def test_matrix_width_mismatch_exits_2(self, tmp_path, demo_file, capsys):
+        mat = tmp_path / "mat.json"
+        mat.write_text(json.dumps({"q": 2, "rows": [[1, 0]]}))
+        assert main(["verify", "--instance", demo_file, "--matrix", str(mat)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal" not in err
+
+    def test_non_integer_matrix_entry_exits_2(self, tmp_path, demo_file, capsys):
+        mat = tmp_path / "mat.json"
+        mat.write_text(json.dumps({"q": 2, "rows": [[1.7, 0, 0]]}))
+        assert main(["verify", "--instance", demo_file, "--matrix", str(mat)]) == 2
+        assert "not a valid matrix" in capsys.readouterr().err
+
+    def test_composite_field_order_exits_2(self, quad_file, capsys):
+        assert main(["minrank", "--instance", quad_file, "--q", "4"]) == 2
+        assert "prime" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        rc = main(["gen", "random", "--n", "5", "--m", "3",
+                   "--out", str(tmp_path / "missing" / "inst.json")])
+        assert rc == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_bad_bench_config_exits_2(self, tmp_path, capsys):
+        assert main(["bench", "--n", "10", "--instances", "0",
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        assert "instances must be >= 1" in capsys.readouterr().err

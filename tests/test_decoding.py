@@ -12,8 +12,9 @@ from plicode.decoding import (
     report_to_json,
     satisfied_set,
 )
-from plicode.fields import FieldSpec, FMatrix, in_span
+from plicode.fields import MAX_ORDER, FieldSpec, FMatrix, in_span
 from plicode.instances import build_instance, random_instance
+from plicode.randomized import randomized_code
 
 
 class TestDecodableMessages:
@@ -52,6 +53,24 @@ class TestSatisfiedSet:
         sat, report = satisfied_set(matrix, demo_instance, demo_instance.initial_active())
         assert sat == set(range(7))
         assert all(cs.status == "satisfied" for cs in report)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_delivered_message_matches_span_oracle(self, seed):
+        inst = random_instance(60, 20, 0.3, seed=seed)
+        spec = FieldSpec(2)
+        for matrix in (bingreedy(inst)[0], randomized_code(inst, seed=seed)[0]):
+            sat, report = satisfied_set(matrix, inst, inst.initial_active())
+            assert sat == inst.initial_active()
+            for cs in report:
+                req = sorted(inst.requirements[cs.client])
+                if not req:
+                    assert cs.status == "vacuous"
+                    continue
+                cols = {j: matrix.entries[:, j] for j in req}
+                smallest = next(
+                    j for j in req if not in_span(cols[j], [cols[t] for t in req if t != j], spec)
+                )
+                assert cs.status == "satisfied" and cs.decodes == smallest
 
     def test_zero_matrix_satisfies_nobody(self, demo_instance):
         sat, report = satisfied_set(FMatrix.zeros(2, 3, 2), demo_instance, range(7))
@@ -112,6 +131,16 @@ class TestDecodeValue:
         mat = FMatrix.from_rows([[0, 1]], 2)
         with pytest.raises(DecodingError):
             decode_value(mat, inst, 0, [0], {1: 0})
+
+    def test_exact_at_largest_field_order(self):
+        # One int64 dot product of four side products near 2^62 would overflow.
+        q = MAX_ORDER
+        inst = build_instance(5, [{0}])
+        row = [1, q - 1, q - 2, q - 3, q - 4]
+        b = [7, q - 5, q - 6, q - 7, q - 8]
+        x = [sum(a * v for a, v in zip(row, b)) % q]
+        side = {j: b[j] for j in range(1, 5)}
+        assert decode_value(FMatrix.from_rows([row], q), inst, 0, x, side) == (0, 7)
 
     def test_side_values_must_cover_side_info(self, demo_instance, demo_matrix):
         with pytest.raises(DecodingError, match="side_values"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plicode.fields import (
+    MAX_ORDER,
     FieldError,
     FieldSpec,
     FMatrix,
@@ -17,7 +18,6 @@ from plicode.fields import (
     is_prime,
     rank,
     rank_generic,
-    rank_gf2_bits,
     solve_consistent,
 )
 
@@ -46,6 +46,20 @@ def brute_force_rank(a: np.ndarray, q: int) -> int:
     return best
 
 
+@st.composite
+def gf2_matrices(draw):
+    """0/1 matrices with K = 0, small K or K > 64, whose columns are XORs of a
+    few random base columns: zero, duplicated and dependent columns all occur."""
+    k = draw(st.one_of(st.just(0), st.integers(1, 6), st.integers(60, 140)))
+    base = [
+        np.array(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)), dtype=np.int64)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    picks = draw(st.lists(st.sets(st.integers(0, len(base) - 1)), max_size=7))
+    cols = [sum((base[t] for t in pick), np.zeros(k, dtype=np.int64)) % 2 for pick in picks]
+    return np.stack(cols, axis=1) if cols else np.zeros((k, 0), dtype=np.int64)
+
+
 class TestArithmetic:
     def test_inverse(self):
         assert FieldSpec(3).inv(2) == 2
@@ -68,6 +82,22 @@ class TestArithmetic:
     def test_is_prime(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
+    def test_largest_order_accepted(self):
+        assert FieldSpec(MAX_ORDER).q == 2**31 - 1
+
+    def test_huge_prime_rejected_before_primality_test(self):
+        # Rejected by size, so trial division never runs on a 61-bit prime.
+        with pytest.raises(FieldError, match="<="):
+            FieldSpec(2**61 - 1)
+
+    def test_rank_over_oversized_order_rejected(self):
+        # Products of entries near 2^32 overflow int64 (this rank-1 matrix
+        # read as rank 2), so such orders are rejected.
+        q = 4294967311
+        a = np.array([[1, q - 1], [q - 1, 1]])  # second row is -1 times the first
+        with pytest.raises(FieldError):
+            rank_generic(a, q)
+
 
 class TestFMatrix:
     def test_entry_range_enforced(self):
@@ -79,9 +109,30 @@ class TestFMatrix:
         assert m.to_json() == {"q": 2, "rows": [[1, 1, 1], [0, 1, 1], [1, 1, 0]]}
         assert FMatrix.from_json(m.to_json()).equals(m)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"q": 2, "rows": [[1.7, 0], [True, 1]]},  # not truncated to [[1, 0], [1, 1]]
+            {"q": 2, "rows": [[1, "0"]]},
+            {"q": 2.0, "rows": [[1, 0]]},
+            {"q": True, "rows": [[1, 0]]},
+        ],
+    )
+    def test_json_non_integer_rejected(self, obj):
+        with pytest.raises(FieldError, match="integer"):
+            FMatrix.from_json(obj)
+
     def test_mul_vector(self):
         m = FMatrix.from_rows([[1, 1, 1], [0, 1, 1], [1, 1, 0]], 2)
         assert m.mul_vector([1, 1, 0]).tolist() == [0, 1, 0]
+
+    def test_mul_vector_exact_at_largest_order(self):
+        # One int64 sum of four unreduced products near 2^62 would overflow.
+        q = MAX_ORDER
+        row = [q - 1, q - 2, q - 3, q - 4]
+        b = [q - 5, q - 6, q - 7, q - 8]
+        expected = sum(x * y for x, y in zip(row, b)) % q
+        assert FMatrix.from_rows([row], q).mul_vector(b).tolist() == [expected]
 
     def test_prune_zero_rows(self):
         m = FMatrix.from_rows([[1, 0], [0, 0], [0, 1]], 2)
@@ -122,15 +173,22 @@ class TestRank:
         assert r == rank_generic(a.T, q)
         assert r == brute_force_rank(a, q)
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 1), min_size=3, max_size=3), min_size=1, max_size=5
-        )
-    )
-    def test_gf2_fast_path_matches_generic(self, rows):
-        a = np.array(rows)
-        assert rank_gf2_bits(a) == rank_generic(a, 2)
+    @settings(max_examples=150, deadline=None)
+    @given(gf2_matrices())
+    def test_gf2_fast_path_matches_generic(self, a):
+        assert rank(FMatrix(a, FieldSpec(2))) == rank_generic(a, 2)
+
+
+class TestGf2Kernel:
+    @settings(max_examples=150, deadline=None)
+    @given(gf2_matrices())
+    def test_essential_columns_match_span_oracle(self, a):
+        spec = FieldSpec(2)
+        ess = essential_columns(a, 2)
+        assert ess.shape == (a.shape[1],)
+        for j in range(a.shape[1]):
+            others = [a[:, t] for t in range(a.shape[1]) if t != j]
+            assert ess[j] == (not in_span(a[:, j], others, spec))
 
 
 class TestInSpan:

@@ -175,6 +175,36 @@ class TestSerialization:
         with pytest.raises(InstanceError):
             PliableInstance.from_text("")
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"m": 3, "requirements": [[0], [1.9]]},  # not truncated to index 1
+            {"m": 3, "requirements": [[True]]},
+            {"m": 3, "requirements": [["1"]]},
+            {"m": 3.0, "requirements": [[0]]},
+        ],
+    )
+    def test_json_non_integer_rejected(self, obj):
+        with pytest.raises(InstanceError, match="integer"):
+            PliableInstance.from_json(obj)
+
+    def test_text_negative_client_count_rejected(self):
+        # Not read as n = 2.
+        with pytest.raises(InstanceError, match="client count"):
+            PliableInstance.from_text("3 -2\n0\n1\n")
+
+    def test_text_lines_after_last_client_rejected(self):
+        # The two extra lines are not dropped silently.
+        with pytest.raises(InstanceError, match="line 3"):
+            PliableInstance.from_text("3 1\n0\n1\n2\n")
+
+    def test_text_trailing_blank_lines_allowed(self):
+        assert PliableInstance.from_text("3 1\n0 2\n\n  \n").requirements == (frozenset({0, 2}),)
+
+    def test_text_non_integer_index_rejected(self):
+        with pytest.raises(InstanceError):
+            PliableInstance.from_text("3 1\n1.9\n")
+
 
 @settings(max_examples=60, deadline=None)
 @given(

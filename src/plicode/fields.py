@@ -87,18 +87,24 @@ class FMatrix:
     field: FieldSpec
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.int64)
+        a = np.asarray(self.entries)
         if a.ndim != 2:
             raise DimensionError(f"matrix entries must be 2-D, got ndim={a.ndim}")
-        if a.size and (a.min() < 0 or a.max() >= self.field.q):
-            raise FieldError(f"entries must lie in [0, {self.field.q})")
-        a = a.copy()
+        if a.size:
+            # Never truncate: a float, complex or bool entry is rejected, not cast.
+            if a.dtype.kind not in "iu" and not (
+                a.dtype.kind == "O" and all(is_integer(x) for x in a.flat)
+            ):
+                raise FieldError(f"matrix entries must be integers, got dtype {a.dtype}")
+            if a.min() < 0 or a.max() >= self.field.q:
+                raise FieldError(f"entries must lie in [0, {self.field.q})")
+        a = a.astype(np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "FMatrix":
-        return cls(np.asarray(rows, dtype=np.int64), FieldSpec(q))
+        return cls(np.asarray(rows), FieldSpec(q))
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, q: int) -> "FMatrix":

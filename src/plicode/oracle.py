@@ -3,9 +3,11 @@ and the field-size threshold for the all-pairs instance family.
 
 The two main searches are deliberately independent of each other:
 optimal_code_length enumerates coding matrices column by column with
-client-complete pruning, while minrank_fitted enumerates low-dimensional
-subspaces through canonical reduced-echelon bases. Witnesses are always
-re-verified through the decodability engine before being returned.
+client-complete pruning (each client verdict is memoised on the options at
+its required columns), while minrank_fitted enumerates low-dimensional
+subspaces through canonical reduced-echelon bases and tests all clients
+against each one at once. Witnesses are always re-verified through the
+decodability engine before being returned.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class SearchResult:
         }
 
 
-def _client_finalizable(assigned: np.ndarray, req: list[int], q: int) -> bool:
-    return bool(essential_columns(assigned[:, req], q).any())
+def _client_finalizable(block: np.ndarray, q: int) -> bool:
+    return bool(essential_columns(block, q).any())
 
 
 def _vector_options(q: int, k: int) -> list[tuple[int, ...]]:
@@ -65,29 +67,41 @@ def _search_fixed_length(
 
     A client's satisfaction depends only on its own requirement columns, so
     it can be checked (and the branch pruned) as soon as its last required
-    column is assigned.
+    column is assigned. Column col holds option choice[col] of the k x q^k
+    options table, and a client's verdict is a function of the options at
+    its required columns alone, so each distinct tuple of options is judged
+    once per search.
     """
     m = instance.m
     finish: list[list[list[int]]] = [[] for _ in range(m)]
     for i in instance.non_vacuous_clients():
         req = sorted(instance.requirements[i])
         finish[req[-1]].append(req)
-    options = _vector_options(q, k)
-    assigned = np.zeros((k, m), dtype=np.int64)
-
-    def dfs(col: int) -> bool:
-        if col == m:
-            return True
-        for vec in options:
-            counter[0] += 1
-            assigned[:, col] = vec
-            if all(_client_finalizable(assigned, req, q) for req in finish[col]):
-                if dfs(col + 1):
-                    return True
-        assigned[:, col] = 0
-        return False
-
-    return assigned.copy() if dfs(0) else None
+    table = np.array(_vector_options(q, k), dtype=np.int64).T
+    n_options = table.shape[1]
+    verdicts: dict[tuple[int, ...], bool] = {}
+    choice = [-1] * m  # -1: no option tried yet at this column
+    col = 0
+    while col < m:
+        t = choice[col] + 1
+        if t == n_options:
+            choice[col] = -1
+            col -= 1
+            if col < 0:
+                return None
+            continue
+        choice[col] = t
+        counter[0] += 1
+        for req in finish[col]:
+            key = tuple(choice[j] for j in req)
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = _client_finalizable(table[:, key], q)
+            if not ok:
+                break
+        else:
+            col += 1
+    return table[:, choice]
 
 
 def optimal_code_length(
@@ -169,14 +183,15 @@ def minrank_fitted(
     total = sum(gaussian_binomial(instance.m, r, q) for r in range(1, max_r + 1))
     if total > max_subspaces:
         raise BudgetError(f"{total} subspaces to enumerate exceeds budget {max_subspaces}")
-    reqs = [np.array(sorted(instance.requirements[i]), dtype=np.int64) for i in nonvac]
+    # m x clients 0/1 incidence: column c marks client c's required messages.
+    incidence = instance.adjacency[nonvac].T.astype(np.int64)
     count = 0
     for r in range(1, max_r + 1):
         coeffs = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)[1:]
         for basis in enumerate_rref_bases(instance.m, r, q):
             count += 1
             vecs = (coeffs @ basis) % q
-            if all(_has_fitting_vector(vecs, req) for req in reqs):
+            if _fits_every_client(vecs, incidence):
                 witness = FMatrix(basis, spec)
                 if not is_valid_code(witness, instance):
                     raise OracleError("minrank search returned an invalid witness")
@@ -184,9 +199,12 @@ def minrank_fitted(
     return SearchResult(None, None, count, _ms(t0))
 
 
-def _has_fitting_vector(vecs: np.ndarray, req: np.ndarray) -> bool:
-    sub = vecs[:, req]
-    return bool((((sub == 1).sum(axis=1) == 1) & ((sub != 0).sum(axis=1) == 1)).any())
+def _fits_every_client(vecs: np.ndarray, incidence: np.ndarray) -> bool:
+    """True iff, for every client (column of incidence), some row of vecs has
+    exactly one nonzero entry inside R_i and that entry is 1."""
+    ones = (vecs == 1).astype(np.int64) @ incidence
+    nonzero = (vecs != 0).astype(np.int64) @ incidence
+    return bool(((ones == 1) & (nonzero == 1)).any(axis=0).all())
 
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bingreedy import _band_index
-from .fields import FMatrix, essential_columns
+from .fields import FMatrix, gf2_essential
 from .instances import PliableInstance, adjacency_matrix
 from .reports import BinRecord, RunReport
 
@@ -81,6 +81,10 @@ def randomized_code(
         rng = np.random.default_rng(_seed_stream(seed, s))
         unsat = np.ones(len(clients), dtype=bool)
         rows: list[np.ndarray] = []
+        if stopping == "cumulative":
+            # Column j of this bin's rows, packed as words[j] with row r at bit r.
+            words = [0] * m
+            reqs = [np.flatnonzero(r).tolist() for r in sub]
         while unsat.any():
             if len(rows) >= max_rows_per_bin:
                 raise RandomizedCapError(
@@ -92,10 +96,11 @@ def randomized_code(
             if stopping == "exactly_one":
                 unsat &= np.count_nonzero(sub[:, row == 1], axis=1) != 1
             else:
-                cum = np.array(rows, dtype=np.int64)
-                for t in np.nonzero(unsat)[0]:
-                    req = sorted(instance.requirements[clients[t]])
-                    if essential_columns(cum[:, req], 2).any():
+                bit = 1 << (len(rows) - 1)
+                for j in np.flatnonzero(row).tolist():
+                    words[j] |= bit
+                for t in np.flatnonzero(unsat).tolist():
+                    if gf2_essential([words[j] for j in reqs[t]]):
                         unsat[t] = False
         all_rows += rows
         bin_records.append(BinRecord(s=s, clients=len(clients), rows=len(rows)))

@@ -122,6 +122,29 @@ class TestFMatrix:
         with pytest.raises(FieldError, match="integer"):
             FMatrix.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.array([[1.7, 0.2]]),  # not truncated to [[1, 0]]
+            np.array([[1.0, 0.0]]),
+            np.array([[True, False]]),
+            np.array([[1 + 0j, 0j]]),
+            np.array([[1, 0.5]], dtype=object),
+            np.array([[1, "0"]], dtype=object),
+        ],
+        ids=["float", "integral-float", "bool", "complex", "object-float", "object-str"],
+    )
+    def test_non_integer_entries_rejected(self, entries):
+        with pytest.raises(FieldError, match="integer"):
+            FMatrix(entries, FieldSpec(2))
+        with pytest.raises(FieldError, match="integer"):
+            FMatrix.from_rows(entries.tolist(), 2)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, object])
+    def test_integer_entries_accepted(self, dtype):
+        mat = FMatrix(np.array([[1, 0, 2]], dtype=dtype), FieldSpec(3))
+        assert mat.entries.dtype == np.int64 and mat.entries.tolist() == [[1, 0, 2]]
+
     def test_mul_vector(self):
         m = FMatrix.from_rows([[1, 1, 1], [0, 1, 1], [1, 1, 0]], 2)
         assert m.mul_vector([1, 1, 0]).tolist() == [0, 1, 0]

@@ -1,4 +1,5 @@
-"""Golden digests: encoder matrices, run reports and a bench CSV stay byte-identical.
+"""Golden digests: encoder matrices, run reports, a bench CSV and the exact
+oracles' results stay byte-identical.
 
 A refactor must leave every digest unchanged; a change to message order,
 tie-breaks, seeding or the serialized forms shows up here. Update a digest
@@ -12,7 +13,13 @@ import pytest
 
 from plicode.bingreedy import bingreedy
 from plicode.cli import main
-from plicode.instances import random_instance
+from plicode.instances import all_pairs_instance, random_instance
+from plicode.oracle import (
+    DEFAULT_PRIMES,
+    min_field_for_length2,
+    minrank_fitted,
+    optimal_code_length,
+)
 from plicode.randomized import randomized_code
 
 # (n, m, p, seed) -> (bingreedy digest, randomized_code digest)
@@ -36,12 +43,52 @@ ENCODER_DIGESTS = {
 }
 BENCH_CSV_DIGEST = "f819cb028a2d8e1034a5d30ab0595bb29397937a5ee9bf8efa6e01949e389031"
 BENCH_SUMMARY_DIGEST = "1433afdb13f394a1204e1e7e6e5da14dce2188db8d909e7b327b7a449de80f50"
+# (q, n, m, p, seed) -> (optimal_code_length digest, minrank_fitted digest), max length m
+ORACLE_DIGESTS = {
+    (2, 20, 4, 0.5, 1): (
+        "87b6288459a7571cb6cc1e216c1dcfaa9ad583fd48b6902c0d57f633a56f6fdf",
+        "161dbbc6e1900f54ff4cf1321de91c3f62fcb3d6a9e267fd848ed942e3411de1",
+    ),
+    (2, 20, 4, 0.5, 2): (
+        "5cdb8934029d34c433fee99a0481579baaeb6ab3022e26af985eb61e7f2d14a6",
+        "161dbbc6e1900f54ff4cf1321de91c3f62fcb3d6a9e267fd848ed942e3411de1",
+    ),
+    (3, 15, 4, 0.5, 1): (
+        "1bffc8b194e82c50ffe7b02e3b1254c439a129c993a0be9f5f08f6a80a074f77",
+        "75c6a346cce08c087d77233c85dcab378a287bd193e82447e05a51bfdd52d3c3",
+    ),
+    (3, 15, 4, 0.5, 2): (
+        "968fab9777ad24c726662bc52fd192600ce739610b6396be0e4a97d3565b6cb8",
+        "d577da6844201814a1f9c239247747d13ee3a3f7cd496243913695206f306367",
+    ),
+    (5, 8, 3, 0.5, 1): (
+        "a57476490c16481d83bc8a8f404333a6bdac3d9d815fe77b852b30b891674ba6",
+        "a9388a033cd0695f8a5bccd93584cc496adf3798cc75141def1ebea884ab0e98",
+    ),
+}
+# all-pairs m -> (min_field_for_length2(m), digest of the length-2 searches it runs)
+THRESHOLD_DIGESTS = {
+    4: (3, "8a5f12c0df7484c60eeabb25b183462f8ec4205f58ffe1641249b7d642594e13"),
+    5: (5, "52c59e347175a0d608e063a78ec8ca02462d8e4f78ea23849feb9819c5e398d1"),
+    6: (5, "ec37ef6fc0ce437973d12aaddb93c22bfda5f1760031582f033b2868c8ed85e7"),
+}
 
 
 def _digest(matrix, report) -> str:
     blob = json.dumps(
         {"matrix": matrix.to_json(), "report": report.to_json()},
         sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _search_digest(results) -> str:
+    blob = json.dumps(
+        [
+            [r.value, r.enumerated, None if r.witness is None else r.witness.entries.tolist()]
+            for r in results
+        ],
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -63,3 +110,21 @@ def test_bench_csv_and_summary(tmp_path):
                  "--no-timing", "--out", str(csv), "--summary-out", str(summary)]) == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == BENCH_CSV_DIGEST
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == BENCH_SUMMARY_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS), ids=str)
+def test_oracle_searches(case):
+    q, n, m, p, seed = case
+    inst = random_instance(n, m, p, seed=seed)
+    assert (
+        _search_digest([optimal_code_length(inst, q, max_K=m)]),
+        _search_digest([minrank_fitted(inst, q, max_r=m)]),
+    ) == ORACLE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("m", sorted(THRESHOLD_DIGESTS))
+def test_field_threshold_searches(m):
+    threshold = min_field_for_length2(m)
+    inst = all_pairs_instance(m)
+    runs = [optimal_code_length(inst, q, max_K=2) for q in DEFAULT_PRIMES if q <= threshold]
+    assert (threshold, _search_digest(runs)) == THRESHOLD_DIGESTS[m]

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from plicode.decoding import is_valid_code
-from plicode.fields import FMatrix, rank_generic
+from plicode.fields import FMatrix, essential_columns, rank_generic
 from plicode.instances import all_pairs_instance, build_instance, random_instance
 from plicode.oracle import (
     BudgetError,
+    _vector_options,
     count_pairwise_independent,
     enumerate_rref_bases,
     gaussian_binomial,
@@ -17,6 +18,62 @@ from plicode.oracle import (
     minrank_fitted,
     optimal_code_length,
 )
+
+
+# Reference searches: the column-by-column numpy DFS that re-eliminates every
+# finished client at every node, and the minrank scan that tests one client
+# at a time. Each returns (value, witness entries or None, enumerated).
+
+
+def reference_optimal_code_length(instance, q, max_K):
+    m = instance.m
+    counter = 0
+    for k in range(1, max_K + 1):
+        finish = [[] for _ in range(m)]
+        for i in instance.non_vacuous_clients():
+            req = sorted(instance.requirements[i])
+            finish[req[-1]].append(req)
+        options = _vector_options(q, k)
+        assigned = np.zeros((k, m), dtype=np.int64)
+
+        def dfs(col):
+            nonlocal counter
+            if col == m:
+                return True
+            for vec in options:
+                counter += 1
+                assigned[:, col] = vec
+                if all(essential_columns(assigned[:, req], q).any() for req in finish[col]):
+                    if dfs(col + 1):
+                        return True
+            assigned[:, col] = 0
+            return False
+
+        if dfs(0):
+            return k, assigned.tolist(), counter
+    return None, None, counter
+
+
+def _has_fitting_vector(vecs, req):
+    sub = vecs[:, req]
+    return bool((((sub == 1).sum(axis=1) == 1) & ((sub != 0).sum(axis=1) == 1)).any())
+
+
+def reference_minrank_fitted(instance, q, max_r):
+    reqs = [sorted(instance.requirements[i]) for i in instance.non_vacuous_clients()]
+    count = 0
+    for r in range(1, max_r + 1):
+        coeffs = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)[1:]
+        for basis in enumerate_rref_bases(instance.m, r, q):
+            count += 1
+            vecs = (coeffs @ basis) % q
+            if all(_has_fitting_vector(vecs, req) for req in reqs):
+                return r, basis.tolist(), count
+    return None, None, count
+
+
+def _outcome(res):
+    return res.value, None if res.witness is None else res.witness.entries.tolist(), res.enumerated
 
 
 class TestOptimalCodeLength:
@@ -72,6 +129,44 @@ class TestOptimalCodeLength:
         obj = optimal_code_length(quad_instance, q=3, max_K=2).to_json()
         assert set(obj) == {"K", "witness", "enumerated", "elapsed_ms"}
         assert obj["K"] == 2 and obj["witness"]["q"] == 3
+
+
+class TestMatchesReferenceSearches:
+    """The memoised length search and the all-clients minrank pass return the
+    same value, witness and enumeration count as the reference searches."""
+
+    @pytest.mark.parametrize(
+        "q,n,m,seeds",
+        [
+            (2, 8, 5, range(4)),
+            (2, 30, 5, range(3)),
+            (3, 15, 4, range(3)),
+            (3, 20, 3, range(3)),
+            (5, 8, 3, range(3)),
+            (5, 12, 3, range(1)),  # the reference tries 12684 options here
+        ],
+    )
+    def test_seeded_random_instances(self, q, n, m, seeds):
+        for seed in seeds:
+            inst = random_instance(n, m, 0.5, seed=[17, q, seed])
+            assert _outcome(optimal_code_length(inst, q, max_K=3)) == (
+                reference_optimal_code_length(inst, q, 3)
+            )
+            assert _outcome(minrank_fitted(inst, q, max_r=3)) == (
+                reference_minrank_fitted(inst, q, 3)
+            )
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_all_pairs_instances(self, m, q):
+        inst = all_pairs_instance(m)
+        assert _outcome(optimal_code_length(inst, q, max_K=2)) == (
+            reference_optimal_code_length(inst, q, 2)
+        )
+        if gaussian_binomial(m, 2, q) < 10**5:  # the per-client reference is slow
+            assert _outcome(minrank_fitted(inst, q, max_r=2)) == (
+                reference_minrank_fitted(inst, q, 2)
+            )
 
 
 class TestSubspaceEnumeration:

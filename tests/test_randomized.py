@@ -6,7 +6,31 @@ import pytest
 from plicode.bingreedy import bingreedy
 from plicode.decoding import decodable_messages, is_valid_code
 from plicode.instances import build_instance, random_instance
-from plicode.randomized import RandomizedCapError, plan_bins, randomized_code
+from plicode.fields import essential_columns
+from plicode.randomized import RandomizedCapError, _seed_stream, plan_bins, randomized_code
+
+
+def reference_cumulative_code(instance, seed):
+    """The cumulative rule by direct re-elimination: after each draw, stack the
+    bin's rows and test every unsatisfied client's required columns afresh.
+    Returns (rows, [(s, clients, rows) per bin])."""
+    plan = plan_bins(instance)
+    all_rows, bins = [], []
+    for s in sorted(plan.bins):
+        clients = sorted(plan.bins[s])
+        rng = np.random.default_rng(_seed_stream(seed, s))
+        unsat = np.ones(len(clients), dtype=bool)
+        rows = []
+        while unsat.any():
+            rows.append((rng.random(instance.m) < plan.probs[s]).astype(np.int64))
+            cum = np.array(rows, dtype=np.int64)
+            for t in np.nonzero(unsat)[0]:
+                req = sorted(instance.requirements[clients[t]])
+                if essential_columns(cum[:, req], 2).any():
+                    unsat[t] = False
+        all_rows += [row.tolist() for row in rows]
+        bins.append((s, len(clients), len(rows)))
+    return all_rows, bins
 
 
 class TestPlanBins:
@@ -113,6 +137,19 @@ class TestRandomizedCode:
         # The cumulative criterion is weaker than exactly-one, so each bin
         # stops no later.
         assert r_span.rows_raw <= r_exact.rows_raw
+
+    @pytest.mark.parametrize(
+        "n,m,p,seeds",
+        [(40, 12, 0.3, range(5)), (120, 30, 0.2, range(3)), (300, 60, 0.3, range(2))],
+    )
+    def test_cumulative_stopping_matches_reference(self, n, m, p, seeds):
+        for seed in seeds:
+            inst = random_instance(n, m, p, seed=[29, n, seed])
+            matrix, report = randomized_code(inst, seed=seed, stopping="cumulative")
+            assert (
+                matrix.entries.tolist(),
+                [(b.s, b.clients, b.rows) for b in report.bins],
+            ) == reference_cumulative_code(inst, seed)
 
     def test_row_cap_error(self):
         inst = build_instance(2, [{0, 1} for _ in range(4)])

@@ -28,7 +28,7 @@ class BenchmarkError(RuntimeError):
 class ExperimentConfig:
     """Parameters of one comparison experiment.
 
-    m_rule "n075" sets m = round(n^0.75); "fixed" uses m_fixed. timing=False
+    m_fixed sets m for every n; None means m = round(n^0.75). timing=False
     records runtime_ms as 0 so reruns are byte-identical.
     """
 
@@ -37,7 +37,6 @@ class ExperimentConfig:
     instances: int = 20
     base_seed: int = 0
     algorithms: tuple[str, ...] = ("bingreedy", "randomized")
-    m_rule: str = "n075"
     m_fixed: int | None = None
     timing: bool = True
 
@@ -48,18 +47,14 @@ class ExperimentConfig:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.instances < 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
-        if self.m_rule not in ("n075", "fixed"):
-            raise ValueError(f"unknown m rule {self.m_rule!r}")
-        if self.m_rule == "fixed" and (self.m_fixed is None or self.m_fixed < 1):
-            raise ValueError("m_rule 'fixed' requires m_fixed >= 1")
+        if self.m_fixed is not None and self.m_fixed < 1:
+            raise ValueError(f"m_fixed must be >= 1, got {self.m_fixed}")
         for alg in self.algorithms:
             if alg not in ("bingreedy", "randomized"):
                 raise ValueError(f"unknown algorithm {alg!r}")
 
     def m_for(self, n: int) -> int:
-        if self.m_rule == "fixed":
-            return int(self.m_fixed)
-        return max(1, round(n**0.75))
+        return max(1, round(n**0.75)) if self.m_fixed is None else self.m_fixed
 
 
 @dataclass(frozen=True)

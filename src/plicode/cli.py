@@ -163,7 +163,6 @@ def cmd_bench(args) -> int:
             instances=args.instances,
             base_seed=args.seed,
             algorithms=tuple(args.algs),
-            m_rule="fixed" if args.m_fixed else "n075",
             m_fixed=args.m_fixed,
             timing=not args.no_timing,
         )

@@ -49,7 +49,7 @@ def _check_shape(mat: FMatrix, instance: PliableInstance) -> None:
 def decodable_messages(mat: FMatrix, instance: PliableInstance, i: int) -> set[int]:
     """All j in R_i that client i can uniquely decode under the matrix."""
     _check_shape(mat, instance)
-    req = sorted(instance.requirements[i])
+    req = instance.required[i]
     if not req:
         return set()
     mask = essential_columns(mat.entries[:, req], mat.field.q)
@@ -61,10 +61,9 @@ def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[
     _check_shape(mat, instance)
     q = mat.field.q
     words = gf2_column_words(mat.entries) if q == 2 else None
-    for i, r in enumerate(instance.requirements):
-        if not r:
+    for i, req in enumerate(instance.required):
+        if not req:
             continue
-        req = sorted(r)
         if words is not None:
             ess = gf2_essential([words[j] for j in req])
             yield i, req[(ess & -ess).bit_length() - 1] if ess else None
@@ -122,7 +121,7 @@ def decode_value(
     side = sorted(instance.side_info(i))
     if set(side_values) != set(side):
         raise DecodingError(f"side_values keys must be exactly S_{i} = {side}")
-    req = sorted(instance.requirements[i])
+    req = instance.required[i]
     if side:
         sv = np.array([side_values[j] for j in side], dtype=np.int64) % q
         x = (x - FMatrix(mat.entries[:, side], mat.field).mul_vector(sv)) % q

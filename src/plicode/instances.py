@@ -1,4 +1,4 @@
-"""Bipartite problem instances: clients, requirement sets, generators.
+"""Bipartite problem instances, stored as their client-message adjacency.
 
 Messages and clients are 0-indexed everywhere (API, files, reports). The
 usual prose convention for these problems is 1-indexed; shift by one when
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,49 +22,68 @@ class InstanceError(ValueError):
     """Malformed instance data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PliableInstance:
-    """m messages and n clients; client i needs any one message in requirements[i].
+    """m messages and n clients; client i needs any one message in R_i.
 
-    Side information is never stored: S_i = {0..m-1} \\ R_i. Clients with an
-    empty requirement set are kept in the data but are vacuously satisfied
-    and excluded from every active set.
+    The only stored field is the n x m boolean adjacency, (i, j) set iff j
+    is in R_i. It must be a 2-D bool array; it is never cast, is copied only
+    if it is a view, and is made read-only. `required[i]` (R_i in increasing
+    order) and `requirements[i]` (a frozenset) are derived from it once each.
+    S_i = {0..m-1} \\ R_i is never stored. Clients with an empty R_i are kept
+    but vacuously satisfied and excluded from every active set. Equality
+    compares shape and contents; instances are not hashable.
     """
 
-    m: int
-    requirements: tuple[frozenset[int], ...]
+    adjacency: np.ndarray
+
+    def __post_init__(self):
+        adj = self.adjacency
+        if not (isinstance(adj, np.ndarray) and adj.dtype == bool and adj.ndim == 2):
+            got = f"{adj.dtype} {adj.shape}" if isinstance(adj, np.ndarray) else type(adj).__name__
+            raise InstanceError(f"adjacency must be a 2-D bool array, got {got}")
+        if adj.base is not None:  # a view could still be written through its base
+            object.__setattr__(self, "adjacency", adj := adj.copy())
+        adj.setflags(write=False)
+
+    def __eq__(self, other):
+        return isinstance(other, PliableInstance) and np.array_equal(self.adjacency, other.adjacency)
 
     @property
     def n(self) -> int:
-        return len(self.requirements)
+        return self.adjacency.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.adjacency.shape[1]
 
     @functools.cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only n x m boolean matrix: entry (i, j) iff client i requires message j.
+    def required(self) -> tuple[tuple[int, ...], ...]:
+        """Per client, the indices of R_i in increasing order."""
+        ends = np.count_nonzero(self.adjacency, axis=1).cumsum().tolist()
+        cols = np.nonzero(self.adjacency)[1].tolist()
+        return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
-        Built on first access, then shared by every caller.
-        """
-        adj = np.zeros((self.n, self.m), dtype=bool)
-        for i, r in enumerate(self.requirements):
-            adj[i, list(r)] = True
-        adj.setflags(write=False)
-        return adj
+    @functools.cached_property
+    def requirements(self) -> tuple[frozenset[int], ...]:
+        """Per client, R_i as a frozenset."""
+        return tuple(frozenset(r) for r in self.required)
 
     def side_info(self, i: int) -> frozenset[int]:
-        return frozenset(range(self.m)) - self.requirements[i]
+        return frozenset(np.flatnonzero(~self.adjacency[i]).tolist())
 
     def is_vacuous(self, i: int) -> bool:
-        return not self.requirements[i]
+        return not self.required[i]
 
     def non_vacuous_clients(self) -> list[int]:
-        return [i for i in range(self.n) if self.requirements[i]]
+        return [i for i, r in enumerate(self.required) if r]
 
     def initial_active(self) -> set[int]:
         """Active set at encoder start: every client with a nonempty requirement set."""
         return set(self.non_vacuous_clients())
 
     def to_json(self) -> dict:
-        return {"m": self.m, "requirements": [sorted(r) for r in self.requirements]}
+        return {"m": self.m, "requirements": [list(r) for r in self.required]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PliableInstance":
@@ -73,7 +92,7 @@ class PliableInstance:
     def to_text(self) -> str:
         """Line format: "m n" header, then one line of required indices per client."""
         lines = [f"{self.m} {self.n}"]
-        lines += [" ".join(str(j) for j in sorted(r)) for r in self.requirements]
+        lines += [" ".join(map(str, r)) for r in self.required]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -109,17 +128,16 @@ def build_instance(m: int, requirements: Sequence[Iterable[int]]) -> PliableInst
     """
     if not is_integer(m) or m < 0:
         raise InstanceError(f"message count must be an integer >= 0, got {m!r}")
-    m = int(m)
-    reqs = []
-    for i, r in enumerate(requirements):
-        r = list(r)
+    rows = [list(r) for r in requirements]
+    adj = np.zeros((len(rows), int(m)), dtype=bool)
+    for i, r in enumerate(rows):
         for j in r:
             if not is_integer(j):
                 raise InstanceError(f"client {i}: message index must be an integer, got {j!r}")
             if not 0 <= j < m:
                 raise InstanceError(f"client {i}: message index {j} out of range [0, {m})")
-        reqs.append(frozenset(int(j) for j in r))
-    return PliableInstance(m=m, requirements=tuple(reqs))
+        adj[i, r] = True
+    return PliableInstance(adj)
 
 
 def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
@@ -133,22 +151,14 @@ def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
     if not 0.0 <= p <= 1.0:
         raise InstanceError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = rng.random((n, m)) < p
-    return PliableInstance(
-        m=m,
-        requirements=tuple(frozenset(int(j) for j in np.nonzero(edges[i])[0]) for i in range(n)),
-    )
+    return PliableInstance(rng.random((n, m)) < p)
 
 
 def all_pairs_instance(m: int) -> PliableInstance:
     """One client per singleton {j} and one per pair {j1, j2}; n = m + C(m, 2)."""
     if m < 2:
         raise InstanceError(f"all-pairs family needs m >= 2, got {m}")
-    reqs: list[frozenset[int]] = [frozenset({j}) for j in range(m)]
-    for j1 in range(m):
-        for j2 in range(j1 + 1, m):
-            reqs.append(frozenset({j1, j2}))
-    return PliableInstance(m=m, requirements=tuple(reqs))
+    return build_instance(m, [(j,) for j in range(m)] + list(itertools.combinations(range(m), 2)))
 
 
 def neighbors(instance: PliableInstance, j: int) -> frozenset[int]:
@@ -159,11 +169,13 @@ def neighbors(instance: PliableInstance, j: int) -> frozenset[int]:
 
 
 def adjacency_matrix(instance: PliableInstance) -> np.ndarray:
-    """The instance's cached, read-only n x m boolean adjacency."""
+    """The instance's read-only n x m boolean adjacency."""
     return instance.adjacency
 
 
 def instance_hash(instance: PliableInstance) -> str:
-    """Stable digest of the canonical JSON form."""
-    blob = json.dumps(instance.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """sha256 of the shape and the bit-packed adjacency (packbits alone maps
+    the all-zero instances of shapes (1, 8) and (8, 1) to the same byte)."""
+    digest = hashlib.sha256(b"%d %d\n" % (instance.n, instance.m))
+    digest.update(np.packbits(instance.adjacency).tobytes())
+    return digest.hexdigest()

@@ -73,9 +73,8 @@ def _search_fixed_length(
     once per search.
     """
     m = instance.m
-    finish: list[list[list[int]]] = [[] for _ in range(m)]
-    for i in instance.non_vacuous_clients():
-        req = sorted(instance.requirements[i])
+    finish: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for req in filter(None, instance.required):
         finish[req[-1]].append(req)
     table = np.array(_vector_options(q, k), dtype=np.int64).T
     n_options = table.shape[1]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bingreedy import _band_index
 from .fields import FMatrix, gf2_essential
 from .instances import PliableInstance, adjacency_matrix
 from .reports import BinRecord, RunReport
@@ -36,14 +35,11 @@ class BinPlan:
 def plan_bins(instance: PliableInstance) -> BinPlan:
     """Bin s holds clients with n/2^s < |R_i| <= n/2^(s-1); p_s = min(2^s/n, 1/2)."""
     n = instance.n
-    smax = max(1, n.bit_length())
-    raw: dict[int, set[int]] = {s: set() for s in range(1, smax + 1)}
-    for i in range(n):
-        d = len(instance.requirements[i])
-        if d == 0:
-            continue
-        raw[_band_index(d, n)].add(i)
-    bins = {s: frozenset(c) for s, c in raw.items() if c}
+    deg = np.count_nonzero(adjacency_matrix(instance), axis=1)
+    clients = np.flatnonzero(deg)
+    # Smallest s >= 1 with d * 2^s > n: max(1, bit_length(n // d)), read off frexp.
+    band = np.maximum(1, np.frexp(n // deg[clients])[1])
+    bins = {int(s): frozenset(clients[band == s].tolist()) for s in np.unique(band)}
     probs = {s: min((2**s) / n, 0.5) for s in bins}
     return BinPlan(n=n, bins=bins, probs=probs)
 

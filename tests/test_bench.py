@@ -31,8 +31,11 @@ class TestConfig:
         assert small_config().m_for(100) == 32
 
     def test_m_rule_fixed(self):
-        cfg = small_config(m_rule="fixed", m_fixed=10)
+        cfg = small_config(m_fixed=10)
         assert cfg.m_for(1000) == 10
+
+    def test_m_fixed_alone_sets_m(self):
+        assert ExperimentConfig(m_fixed=5).m_for(100) == 5
 
     @pytest.mark.parametrize(
         "bad",
@@ -41,7 +44,7 @@ class TestConfig:
             dict(n_values=(0,)),
             dict(p=1.5),
             dict(instances=0),
-            dict(m_rule="fixed"),
+            dict(m_fixed=0),
             dict(algorithms=("bogus",)),
         ],
     )

@@ -293,3 +293,10 @@ class TestExitCodes:
         assert main(["bench", "--n", "10", "--instances", "0",
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert "instances must be >= 1" in capsys.readouterr().err
+
+    def test_zero_fixed_m_exits_2(self, tmp_path, capsys):
+        # Rejected, not read as "no fixed m" and replaced by round(n^0.75).
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--n", "10", "--m-fixed", "0", "--out", str(out)]) == 2
+        assert "m_fixed must be >= 1" in capsys.readouterr().err
+        assert not out.exists()

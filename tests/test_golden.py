@@ -1,5 +1,5 @@
-"""Golden digests: encoder matrices, run reports, a bench CSV and the exact
-oracles' results stay byte-identical.
+"""Golden digests: instance files, encoder matrices, run reports, a bench CSV
+and the exact oracles' results stay byte-identical.
 
 A refactor must leave every digest unchanged; a change to message order,
 tie-breaks, seeding or the serialized forms shows up here. Update a digest
@@ -13,7 +13,7 @@ import pytest
 
 from plicode.bingreedy import bingreedy
 from plicode.cli import main
-from plicode.instances import all_pairs_instance, random_instance
+from plicode.instances import all_pairs_instance, build_instance, random_instance
 from plicode.oracle import (
     DEFAULT_PRIMES,
     min_field_for_length2,
@@ -22,6 +22,44 @@ from plicode.oracle import (
 )
 from plicode.randomized import randomized_code
 
+# instance -> (sha256 of canonical to_json() JSON, sha256 of to_text())
+SERIALIZATION_DIGESTS = {
+    "random-80-27-0.3-s1": (
+        "bafeef6a24dcf0933cc2cc2a286015ae0b7a97a9664c6c2c0f3ff222fb7b2859",
+        "b3c0bcb4386e2d0329185fba9fbb737f3a4b2b2587e55f5bce9b0646c36ab680",
+    ),
+    "random-80-27-0.3-s2": (
+        "dfe5ab448cc33ce22f7e43c4a26d4a2189d8b873fcb5536059860a61b9474ac7",
+        "ebea07b2f81b5a2d4441b0a06e5e1345ab7b1b0900985b12efa6d8cccfd88378",
+    ),
+    "random-80-27-0.3-s3": (
+        "64af1e84b9eaa3216c8713785a11381f3222fb0369c4ec78f282ae197af92641",
+        "11bad1f03517880b583941a3b57765860b1fe26a822ff8984368be2bbe811d78",
+    ),
+    "random-2000-300-0.01-s1": (
+        "fd9c25238f62f4998aa9ffb542b6465a00eb979911028622139d324b707bea7c",
+        "9b1b389b3fbb68ec384ba075a70a68a62d64688c3cc967f7afbcf882d04aa229",
+    ),
+    "all-pairs-5": (
+        "419ce125dce88398df7e63d51ea5f00024223fa8c2e4f6d0573e227382794f16",
+        "c567aafbcd7c1222c359d079be225e4f080b1f4383bb64ee713def3031a11508",
+    ),
+    "built-unsorted-duplicates-empty": (
+        "43344f69acf51b203b22d8b2ffa06e8b48c699c154b7811a39443921fe5e0bba",
+        "23e0e0bef9708b6baff0896b04ae3a112a11dc39a5d2aea3fb67f9e973a22d64",
+    ),
+}
+SERIALIZATION_CASES = {
+    **{
+        f"random-80-27-0.3-s{seed}": lambda seed=seed: random_instance(80, 27, 0.3, seed=seed)
+        for seed in (1, 2, 3)
+    },
+    "random-2000-300-0.01-s1": lambda: random_instance(2000, 300, 0.01, seed=1),
+    "all-pairs-5": lambda: all_pairs_instance(5),
+    "built-unsorted-duplicates-empty": lambda: build_instance(
+        6, [[5, 1, 3, 1], [], [2, 2], [0, 5, 4, 0], []]
+    ),
+}
 # (n, m, p, seed) -> (bingreedy digest, randomized_code digest)
 ENCODER_DIGESTS = {
     (80, 27, 0.3, 1): (
@@ -92,6 +130,16 @@ def _search_digest(results) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZATION_DIGESTS))
+def test_instance_serialization(name):
+    inst = SERIALIZATION_CASES[name]()
+    blob = json.dumps(inst.to_json(), sort_keys=True, separators=(",", ":"))
+    assert (
+        hashlib.sha256(blob.encode()).hexdigest(),
+        hashlib.sha256(inst.to_text().encode()).hexdigest(),
+    ) == SERIALIZATION_DIGESTS[name]
 
 
 @pytest.mark.parametrize("case", sorted(ENCODER_DIGESTS), ids=str)

@@ -46,6 +46,54 @@ class TestBuildInstance:
         assert inst.initial_active() == {1}
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "adj",
+        [
+            np.zeros((2, 3), dtype=np.int64),
+            np.zeros((2, 3), dtype=float),
+            np.zeros(3, dtype=bool),
+            np.zeros((2, 2, 2), dtype=bool),
+            [[True, False]],
+        ],
+        ids=["int", "float", "1-D", "3-D", "list"],
+    )
+    def test_rejects_all_but_2d_bool(self, adj):
+        # Not cast to bool and not reshaped.
+        with pytest.raises(InstanceError, match="2-D bool"):
+            PliableInstance(adj)
+
+    def test_shape_gives_counts_and_array_is_frozen(self):
+        adj = np.zeros((4, 7), dtype=bool)
+        inst = PliableInstance(adj)
+        assert (inst.n, inst.m) == (4, 7) and inst.adjacency is adj
+        with pytest.raises(ValueError):
+            adj[0, 0] = True
+
+    def test_view_is_copied(self):
+        base = np.zeros((3, 4), dtype=bool)
+        inst = PliableInstance(base[:, :2])
+        base[0, 0] = True
+        assert not inst.adjacency.any() and inst.adjacency.flags.owndata
+
+    def test_hash_covers_shape(self):
+        # Both shapes pack to one zero byte.
+        a = PliableInstance(np.zeros((1, 8), dtype=bool))
+        b = PliableInstance(np.zeros((8, 1), dtype=bool))
+        assert a != b and instance_hash(a) != instance_hash(b)
+
+    def test_generated_and_built_agree(self):
+        a = random_instance(40, 9, 0.3, seed=7)
+        b = build_instance(9, [sorted(r, reverse=True) for r in a.requirements])
+        assert a == b and instance_hash(a) == instance_hash(b)
+        c = build_instance(9, [*b.required[:-1], [0, 1, 2]])
+        assert a != c and instance_hash(a) != instance_hash(c)
+
+    def test_not_hashable(self, demo_instance):
+        with pytest.raises(TypeError):
+            hash(demo_instance)
+
+
 class TestRandomInstance:
     def test_p_zero_all_empty(self):
         inst = random_instance(5, 3, 0.0, seed=7)
@@ -159,6 +207,20 @@ class TestAdjacency:
                 expected[i, j] = True
         adj = adjacency_matrix(inst)
         assert adj.dtype == bool and np.array_equal(adj, expected)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            random_instance(40, 9, 0.3, seed=7),
+            all_pairs_instance(5),
+            build_instance(4, [set(), {3, 1}, set(), {0}]),
+        ],
+        ids=["random", "all-pairs", "vacuous"],
+    )
+    def test_requirements_match_rows(self, inst):
+        rows = [np.flatnonzero(row).tolist() for row in adjacency_matrix(inst)]
+        assert [list(r) for r in inst.required] == rows
+        assert list(inst.requirements) == [frozenset(r) for r in rows]
 
 
 class TestSerialization:

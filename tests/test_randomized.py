@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from plicode.bingreedy import bingreedy
+from plicode.bingreedy import _band_index, bingreedy
 from plicode.decoding import decodable_messages, is_valid_code
-from plicode.instances import build_instance, random_instance
+from plicode.instances import PliableInstance, build_instance, random_instance
 from plicode.fields import essential_columns
 from plicode.randomized import RandomizedCapError, _seed_stream, plan_bins, randomized_code
 
@@ -68,6 +68,17 @@ class TestPlanBins:
         inst = build_instance(2, [{0} for _ in range(4)])
         plan = plan_bins(inst)
         assert all(0 < p <= 0.5 for p in plan.probs.values())
+
+    def test_bands_match_integer_band_index(self):
+        # Every degree 0..n+1 at each n, so d = n and d > n (m > n) are covered.
+        for n in [*range(1, 301), 1023, 1024, 1025]:
+            for deg in (np.arange(n), np.arange(n) + 2):
+                inst = PliableInstance(np.arange(n + 1) < deg[:, None])
+                expected: dict[int, set[int]] = {}
+                for i, d in enumerate(deg.tolist()):
+                    if d:
+                        expected.setdefault(_band_index(d, n), set()).add(i)
+                assert plan_bins(inst).bins == expected, n
 
 
 class TestRandomizedCode:

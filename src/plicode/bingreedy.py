@@ -76,27 +76,31 @@ def sort_and_group(
     if not active:
         raise ValueError("active set must be nonempty")
     adj = adjacency_matrix(instance)
+    indptr, indices = instance.clients_by_message
+    bounds = indptr.tolist()
     n_thr = len(active) if threshold_n is None else threshold_n
     remaining = np.zeros(instance.n, dtype=bool)
-    remaining[sorted(active)] = True
-    deg = adj[remaining].sum(axis=0).astype(np.int64)
-    avail = np.ones(instance.m, dtype=bool)
+    remaining[list(active)] = True
+    csum = np.zeros(indices.size + 1, dtype=np.int64)
+    np.cumsum(remaining[indices], out=csum[1:])
+    deg = np.diff(csum[indptr])
 
     order: list[int] = []
     eff_clients: list[frozenset[int]] = []
     eff_degree: list[int] = []
+    # Removing j's remaining clients drops deg[j] to 0, so a chosen message
+    # is never the argmax again while any degree is positive.
     while True:
-        masked = np.where(avail, deg, -1)
-        j = int(np.argmax(masked))
-        if masked[j] <= 0:
+        j = int(np.argmax(deg))
+        if deg[j] <= 0:
             break
-        clients = np.nonzero(adj[:, j] & remaining)[0]
+        col = indices[bounds[j] : bounds[j + 1]]
+        clients = col[remaining[col]]
         order.append(j)
-        eff_clients.append(frozenset(int(c) for c in clients))
+        eff_clients.append(frozenset(clients.tolist()))
         eff_degree.append(int(clients.size))
         remaining[clients] = False
         deg -= adj[clients].sum(axis=0)
-        avail[j] = False
 
     smax = max(1, n_thr.bit_length())
     groups: list[list[int]] = [[] for _ in range(smax)]
@@ -131,12 +135,13 @@ def greedy_assign(
     """
     if not group:
         raise ValueError("group must be nonempty")
-    adj = adjacency_matrix(instance)
+    indptr, indices = instance.clients_by_message
+    bounds = indptr.tolist()
     sat: dict[int, list[int]] = {}
     unsat: set[int] = set()
     vectors: list[tuple[int, int]] = []
     for j in group:
-        affected = [i for i in np.flatnonzero(adj[:, j]).tolist() if i in sat]
+        affected = [i for i in indices[bounds[j] : bounds[j + 1]].tolist() if i in sat]
         best_t = 0
         best_keep = -1
         for t in range(3):

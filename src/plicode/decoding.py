@@ -49,11 +49,11 @@ def _check_shape(mat: FMatrix, instance: PliableInstance) -> None:
 def decodable_messages(mat: FMatrix, instance: PliableInstance, i: int) -> set[int]:
     """All j in R_i that client i can uniquely decode under the matrix."""
     _check_shape(mat, instance)
-    req = instance.required[i]
-    if not req:
+    req = np.flatnonzero(instance.adjacency[i])
+    if not req.size:
         return set()
     mask = essential_columns(mat.entries[:, req], mat.field.q)
-    return {req[t] for t in np.nonzero(mask)[0]}
+    return set(req[mask].tolist())
 
 
 def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[int, int | None]]:
@@ -121,7 +121,7 @@ def decode_value(
     side = sorted(instance.side_info(i))
     if set(side_values) != set(side):
         raise DecodingError(f"side_values keys must be exactly S_{i} = {side}")
-    req = instance.required[i]
+    req = np.flatnonzero(instance.adjacency[i])
     if side:
         sv = np.array([side_values[j] for j in side], dtype=np.int64) % q
         x = (x - FMatrix(mat.entries[:, side], mat.field).mul_vector(sv)) % q
@@ -131,7 +131,7 @@ def decode_value(
     if uniq.size == 0:
         raise DecodingError(f"client {i} cannot uniquely decode any required message")
     t = int(uniq[0])
-    return req[t], int(sol.values[t])
+    return int(req[t]), int(sol.values[t])
 
 
 def report_to_json(report: list[ClientStatus]) -> list[dict]:

@@ -28,11 +28,14 @@ class PliableInstance:
 
     The only stored field is the n x m boolean adjacency, (i, j) set iff j
     is in R_i. It must be a 2-D bool array; it is never cast, is copied only
-    if it is a view, and is made read-only. `required[i]` (R_i in increasing
-    order) and `requirements[i]` (a frozenset) are derived from it once each.
-    S_i = {0..m-1} \\ R_i is never stored. Clients with an empty R_i are kept
-    but vacuously satisfied and excluded from every active set. Equality
-    compares shape and contents; instances are not hashable.
+    if it is a view, and is made read-only. Three views are derived from it
+    once each, on first use: `clients_by_message` (message-major, for the
+    encoders), `required[i]` (R_i in increasing order, for sweeps over every
+    client) and `requirements[i]` (a frozenset). Readers of one client read
+    its adjacency row instead. S_i = {0..m-1} \\ R_i is never stored.
+    Clients with an empty R_i are kept but vacuously satisfied and excluded
+    from every active set. Equality compares shape and contents; instances
+    are not hashable.
     """
 
     adjacency: np.ndarray
@@ -58,10 +61,28 @@ class PliableInstance:
         return self.adjacency.shape[1]
 
     @functools.cached_property
+    def clients_by_message(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSC view (indptr, indices): the clients requiring message j
+        are indices[indptr[j]:indptr[j + 1]], in increasing order.
+
+        indices has the smallest unsigned dtype that holds n - 1 (2 bytes per
+        edge up to n = 65536).
+        """
+        n, m = self.adjacency.shape
+        flat = np.flatnonzero(self.adjacency.T)
+        indptr = np.searchsorted(flat, np.arange(m + 1) * n)
+        indices = (flat % n).astype(np.min_scalar_type(max(n - 1, 0)))
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    @functools.cached_property
     def required(self) -> tuple[tuple[int, ...], ...]:
         """Per client, the indices of R_i in increasing order."""
-        ends = np.count_nonzero(self.adjacency, axis=1).cumsum().tolist()
-        cols = np.nonzero(self.adjacency)[1].tolist()
+        n, m = self.adjacency.shape
+        flat = np.flatnonzero(self.adjacency)
+        ends = np.searchsorted(flat, np.arange(1, n + 1) * m).tolist()
+        cols = (flat % m).tolist()
         return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
     @functools.cached_property
@@ -73,10 +94,10 @@ class PliableInstance:
         return frozenset(np.flatnonzero(~self.adjacency[i]).tolist())
 
     def is_vacuous(self, i: int) -> bool:
-        return not self.required[i]
+        return not self.adjacency[i].any()
 
     def non_vacuous_clients(self) -> list[int]:
-        return [i for i, r in enumerate(self.required) if r]
+        return np.flatnonzero(self.adjacency.any(axis=1)).tolist()
 
     def initial_active(self) -> set[int]:
         """Active set at encoder start: every client with a nonempty requirement set."""
@@ -151,7 +172,14 @@ def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
     if not 0.0 <= p <= 1.0:
         raise InstanceError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    return PliableInstance(rng.random((n, m)) < p)
+    # Row blocks of about 2^16 draws, taken in order from one generator, give
+    # the bits of a single rng.random((n, m)) < p without its n x m floats.
+    adj = np.empty((n, m), dtype=bool)
+    step = max(1, (1 << 16) // m)
+    for a in range(0, n, step):
+        block = adj[a : a + step]
+        np.less(rng.random(block.shape), p, out=block)
+    return PliableInstance(adj)
 
 
 def all_pairs_instance(m: int) -> PliableInstance:
@@ -165,7 +193,8 @@ def neighbors(instance: PliableInstance, j: int) -> frozenset[int]:
     """Clients requiring message j."""
     if not 0 <= j < instance.m:
         raise InstanceError(f"message index {j} out of range [0, {instance.m})")
-    return frozenset(np.flatnonzero(instance.adjacency[:, j]).tolist())
+    indptr, indices = instance.clients_by_message
+    return frozenset(indices[indptr[j] : indptr[j + 1]].tolist())
 
 
 def adjacency_matrix(instance: PliableInstance) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FMatrix, gf2_essential
-from .instances import PliableInstance, adjacency_matrix
+from .instances import PliableInstance
 from .reports import BinRecord, RunReport
 
 
@@ -35,7 +35,7 @@ class BinPlan:
 def plan_bins(instance: PliableInstance) -> BinPlan:
     """Bin s holds clients with n/2^s < |R_i| <= n/2^(s-1); p_s = min(2^s/n, 1/2)."""
     n = instance.n
-    deg = np.count_nonzero(adjacency_matrix(instance), axis=1)
+    deg = np.bincount(instance.clients_by_message[1], minlength=n)
     clients = np.flatnonzero(deg)
     # Smallest s >= 1 with d * 2^s > n: max(1, bit_length(n // d)), read off frexp.
     band = np.maximum(1, np.frexp(n // deg[clients])[1])
@@ -66,13 +66,13 @@ def randomized_code(
     if stopping not in ("exactly_one", "cumulative"):
         raise ValueError(f"unknown stopping rule {stopping!r}")
     plan = plan_bins(instance)
-    adj = adjacency_matrix(instance)
-    m = instance.m
+    indptr, indices = instance.clients_by_message
+    bounds = indptr.tolist()  # Python-int slice bounds; numpy scalars cost more per slice
+    n, m = instance.n, instance.m
     all_rows: list[np.ndarray] = []
     bin_records: list[BinRecord] = []
     for s in sorted(plan.bins):
-        clients = sorted(plan.bins[s])
-        sub = adj[clients]
+        clients = np.array(sorted(plan.bins[s]))
         p = plan.probs[s]
         rng = np.random.default_rng(_seed_stream(seed, s))
         unsat = np.ones(len(clients), dtype=bool)
@@ -80,7 +80,7 @@ def randomized_code(
         if stopping == "cumulative":
             # Column j of this bin's rows, packed as words[j] with row r at bit r.
             words = [0] * m
-            reqs = [np.flatnonzero(r).tolist() for r in sub]
+            reqs = [np.flatnonzero(instance.adjacency[i]).tolist() for i in clients]
         while unsat.any():
             if len(rows) >= max_rows_per_bin:
                 raise RandomizedCapError(
@@ -89,11 +89,16 @@ def randomized_code(
                 )
             row = (rng.random(m) < p).astype(np.int64)
             rows.append(row)
+            support = np.flatnonzero(row).tolist()
             if stopping == "exactly_one":
-                unsat &= np.count_nonzero(sub[:, row == 1], axis=1) != 1
+                if support:
+                    # Per client, how many of its required messages the row covers.
+                    cols = [indices[bounds[j] : bounds[j + 1]] for j in support]
+                    hits = np.bincount(np.concatenate(cols), minlength=n)
+                    unsat &= hits[clients] != 1
             else:
                 bit = 1 << (len(rows) - 1)
-                for j in np.flatnonzero(row).tolist():
+                for j in support:
                     words[j] |= bit
                 for t in np.flatnonzero(unsat).tolist():
                     if gf2_essential([words[j] for j in reqs[t]]):

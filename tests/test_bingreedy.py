@@ -8,6 +8,9 @@ import pytest
 from plicode.bingreedy import (
     CODING_VECTORS,
     GroupCode,
+    SortingResult,
+    _band_index,
+    _counts_ok,
     bingreedy,
     greedy_assign,
     run_round,
@@ -16,6 +19,92 @@ from plicode.bingreedy import (
 from plicode.decoding import is_valid_code
 from plicode.fields import FieldSpec, in_span
 from plicode.instances import adjacency_matrix, build_instance, random_instance
+
+
+def reference_sort_and_group(instance, active, threshold_n=None):
+    """sort_and_group on the dense adjacency: degrees from a row-subset sum,
+    each message's clients from its strided column."""
+    adj = adjacency_matrix(instance)
+    n_thr = len(active) if threshold_n is None else threshold_n
+    remaining = np.zeros(instance.n, dtype=bool)
+    remaining[sorted(active)] = True
+    deg = adj[remaining].sum(axis=0).astype(np.int64)
+    avail = np.ones(instance.m, dtype=bool)
+    order, eff_clients, eff_degree = [], [], []
+    while True:
+        masked = np.where(avail, deg, -1)
+        j = int(np.argmax(masked))
+        if masked[j] <= 0:
+            break
+        clients = np.nonzero(adj[:, j] & remaining)[0]
+        order.append(j)
+        eff_clients.append(frozenset(int(c) for c in clients))
+        eff_degree.append(int(clients.size))
+        remaining[clients] = False
+        deg -= adj[clients].sum(axis=0)
+        avail[j] = False
+    smax = max(1, n_thr.bit_length())
+    groups = [[] for _ in range(smax)]
+    for j, d in zip(order, eff_degree):
+        groups[_band_index(d, n_thr) - 1].append(j)
+    thresholds = [(n_thr / 2**s, n_thr / 2 ** (s - 1)) for s in range(1, smax + 1)]
+    return SortingResult(order, eff_clients, eff_degree, groups, thresholds, n_thr)
+
+
+def reference_greedy_assign(instance, group, eff, s=0):
+    """greedy_assign reading each message's clients from its strided column."""
+    adj = adjacency_matrix(instance)
+    sat, unsat, vectors = {}, set(), []
+    for j in group:
+        affected = [i for i in np.flatnonzero(adj[:, j]).tolist() if i in sat]
+        best_t, best_keep = 0, -1
+        for t in range(3):
+            keep = 0
+            for i in affected:
+                c = sat[i]
+                c[t] += 1
+                keep += _counts_ok(c)
+                c[t] -= 1
+            if keep > best_keep:
+                best_t, best_keep = t, keep
+        for i in affected:
+            sat[i][best_t] += 1
+            if not _counts_ok(sat[i]):
+                del sat[i]
+                unsat.add(i)
+        for i in eff[j]:
+            sat[i] = [int(t == best_t) for t in range(3)]
+        vectors.append(CODING_VECTORS[best_t])
+    return GroupCode(s=s, messages=list(group), vectors=vectors, sat=set(sat), unsat=unsat)
+
+
+@pytest.mark.parametrize("use_original_n", [False, True], ids=["active-n", "original-n"])
+@pytest.mark.parametrize("n, p", [(200, 0.3), (3000, 0.01), (3000, 0.3)])
+def test_matches_dense_reference(n, p, use_original_n):
+    # Every round's SortingResult and GroupCodes, the rows and the report
+    # agree with the column-scanning reference, round by round.
+    inst = random_instance(n, round(n**0.75), p, seed=[n, 9])
+    thr = inst.n if use_original_n else None
+    active = inst.initial_active()
+    rows = []
+    while active:
+        sr = sort_and_group(inst, active, threshold_n=thr)
+        assert sr == reference_sort_and_group(inst, active, threshold_n=thr)
+        eff = dict(zip(sr.order, sr.eff_clients))
+        satisfied = set()
+        for s, group in enumerate(sr.groups, start=1):
+            if group:
+                gc = greedy_assign(inst, group, eff, s=s)
+                assert gc == reference_greedy_assign(inst, group, eff, s=s)
+                rows += [[0] * inst.m, [0] * inst.m]
+                for j, (v0, v1) in zip(gc.messages, gc.vectors):
+                    rows[-2][j], rows[-1][j] = v0, v1
+                satisfied |= gc.sat
+        assert satisfied
+        active -= satisfied
+    matrix, report = bingreedy(inst, use_original_n=use_original_n)
+    assert matrix.entries.tolist() == rows
+    assert report.rows_raw == len(rows)
 
 
 class TestSortAndGroup:

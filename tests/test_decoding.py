@@ -147,6 +147,21 @@ class TestDecodeValue:
             decode_value(demo_matrix, demo_instance, 3, [0, 1, 0], {})
 
 
+def test_single_client_readers_leave_required_unbuilt():
+    # The encoders and every single-client reader go through the message-major
+    # view or the client's row; only sweeps over every client build `required`.
+    inst = random_instance(60, 15, 0.3, seed=8)
+    b = np.random.default_rng(1).integers(0, 2, size=inst.m)
+    for code, _ in (bingreedy(inst), randomized_code(inst, seed=2)):
+        x = code.mul_vector(b)
+        for i in inst.non_vacuous_clients():
+            assert not inst.is_vacuous(i)
+            j, value = decode_value(code, inst, i, x, {t: int(b[t]) for t in inst.side_info(i)})
+            assert j == min(decodable_messages(code, inst, i)) and value == b[j]
+    assert "required" not in inst.__dict__
+    assert "requirements" not in inst.__dict__
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("q", [2, 3])
     def test_decoded_values_are_true_messages(self, q):

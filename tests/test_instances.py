@@ -124,6 +124,16 @@ class TestRandomInstance:
         b = random_instance(10, 5, 0.5, seed=[3, 100, 0])
         assert a == b
 
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(1000, 100, 4), (1001, 70_000 // 64, [5, 2, 0]), (3, 70_000, 6), (3, 70_000, [6, 1])],
+        ids=["partial-last-block", "sequence-seed", "row-per-block", "row-per-block-sequence"],
+    )
+    def test_blocked_draw_matches_one_shot(self, n, m, seed):
+        # Blocks hold 2^16 // m rows (one row once m > 2^16); n is never a multiple.
+        expected = np.random.default_rng(seed).random((n, m)) < 0.2
+        assert np.array_equal(random_instance(n, m, 0.2, seed).adjacency, expected)
+
     def test_invalid_parameters(self):
         with pytest.raises(InstanceError):
             random_instance(0, 3, 0.5, seed=0)
@@ -221,6 +231,45 @@ class TestAdjacency:
         rows = [np.flatnonzero(row).tolist() for row in adjacency_matrix(inst)]
         assert [list(r) for r in inst.required] == rows
         assert list(inst.requirements) == [frozenset(r) for r in rows]
+
+
+class TestClientsByMessage:
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            random_instance(300, 40, 0.01, seed=1),
+            random_instance(300, 40, 0.3, seed=2),
+            random_instance(300, 40, 0.9, seed=3),
+            all_pairs_instance(6),
+            build_instance(5, [set(), {1, 3}, set(), {0, 3}]),
+            PliableInstance(np.zeros((0, 4), dtype=bool)),
+            PliableInstance(np.zeros((4, 0), dtype=bool)),
+        ],
+        ids=["p0.01", "p0.3", "p0.9", "all-pairs", "empty-rows-and-columns", "n0", "m0"],
+    )
+    def test_matches_per_column_flatnonzero(self, inst):
+        indptr, indices = inst.clients_by_message
+        assert indptr.shape == (inst.m + 1,) and indptr[0] == 0
+        for j in range(inst.m):
+            column = indices[indptr[j] : indptr[j + 1]]
+            assert column.tolist() == np.flatnonzero(inst.adjacency[:, j]).tolist()
+        assert indptr[-1] == indices.size == inst.adjacency.sum()
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (65536, np.uint16), (65537, np.uint32)])
+    def test_index_dtype_holds_last_client(self, n, dtype):
+        adj = np.zeros((n, 2), dtype=bool)
+        adj[[0, n - 1], 1] = True
+        indptr, indices = PliableInstance(adj).clients_by_message
+        assert indices.dtype == dtype
+        assert indptr.tolist() == [0, 0, 2] and indices.tolist() == [0, n - 1]
+
+    def test_cached_and_read_only(self):
+        inst = random_instance(30, 8, 0.3, seed=4)
+        view = inst.clients_by_message
+        assert inst.clients_by_message is view
+        for arr in view:
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestSerialization:

@@ -33,6 +33,38 @@ def reference_cumulative_code(instance, seed):
     return all_rows, bins
 
 
+def reference_exactly_one_code(instance, seed):
+    """The exactly-one rule on a dense per-bin sub-matrix: a drawn row's hit
+    count per client is a count_nonzero over the row's columns.
+    Returns (rows, [(s, clients, rows) per bin])."""
+    plan = plan_bins(instance)
+    adj = instance.adjacency
+    all_rows, bins = [], []
+    for s in sorted(plan.bins):
+        clients = sorted(plan.bins[s])
+        sub = adj[clients]
+        rng = np.random.default_rng(_seed_stream(seed, s))
+        unsat = np.ones(len(clients), dtype=bool)
+        rows = []
+        while unsat.any():
+            row = (rng.random(instance.m) < plan.probs[s]).astype(np.int64)
+            rows.append(row.tolist())
+            unsat &= np.count_nonzero(sub[:, row == 1], axis=1) != 1
+        all_rows += rows
+        bins.append((s, len(clients), len(rows)))
+    return all_rows, bins
+
+
+@pytest.mark.parametrize("n, p", [(200, 0.3), (3000, 0.01), (3000, 0.3)])
+def test_exactly_one_matches_dense_reference(n, p):
+    inst = random_instance(n, round(n**0.75), p, seed=[n, 10])
+    for seed in (1, [2, 3]):
+        matrix, report = randomized_code(inst, seed=seed)
+        rows, bins = reference_exactly_one_code(inst, seed)
+        assert matrix.entries.tolist() == rows
+        assert [(b.s, b.clients, b.rows) for b in report.bins] == bins
+
+
 class TestPlanBins:
     def test_band_edges(self):
         inst = build_instance(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bingreedy import bingreedy
 from .decoding import is_valid_code

@@ -1,10 +1,11 @@
 """BinGreedy: deterministic round-based encoder over F_2.
 
 Each round sorts messages by effective degree on the remaining active
-subgraph, groups them into dyadic degree bands, and greedily assigns one
-of the three nonzero 2-bit coding vectors per message so that two
-transmissions per group satisfy at least a third of the group's effective
-clients. Rounds repeat until every client is satisfied.
+subgraph, groups them into degree bands by reports.dyadic_band, and
+greedily assigns one of the three nonzero 2-bit coding vectors per message
+so that two transmissions per group satisfy at least a third of the
+group's effective clients. Rounds repeat until every client is satisfied;
+reports.encoded stacks the rows of all rounds.
 
 All tie-breaks are fixed (smallest message index; vector preference
 (1,0) > (0,1) > (1,1)) so identical instances yield identical matrices.
@@ -12,13 +13,13 @@ All tie-breaks are fixed (smallest message index; vector preference
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FMatrix
 from .instances import PliableInstance, adjacency_matrix
-from .reports import GroupRecord, RoundRecord, RunReport
+from .reports import GroupRecord, RoundRecord, RunReport, dyadic_band, encoded
 
 CODING_VECTORS = ((1, 0), (0, 1), (1, 1))
 
@@ -53,14 +54,6 @@ class GroupCode:
     vectors: list[tuple[int, int]]
     sat: set[int]
     unsat: set[int]
-
-
-def _band_index(degree: int, threshold_n: int) -> int:
-    """Smallest s >= 1 with degree * 2^s > threshold_n (exact integer arithmetic)."""
-    s = 1
-    while (degree << s) <= threshold_n:
-        s += 1
-    return s
 
 
 def sort_and_group(
@@ -104,8 +97,8 @@ def sort_and_group(
 
     smax = max(1, n_thr.bit_length())
     groups: list[list[int]] = [[] for _ in range(smax)]
-    for j, d in zip(order, eff_degree):
-        groups[_band_index(d, n_thr) - 1].append(j)
+    for j, s in zip(order, dyadic_band(eff_degree, n_thr).tolist()):
+        groups[s - 1].append(j)
     thresholds = [(n_thr / 2**s, n_thr / 2 ** (s - 1)) for s in range(1, smax + 1)]
     return SortingResult(order, eff_clients, eff_degree, groups, thresholds, n_thr)
 
@@ -183,23 +176,16 @@ def run_round(
     """
     sr = sort_and_group(instance, active, threshold_n=threshold_n)
     eff_by_msg = dict(zip(sr.order, sr.eff_clients))
+    bands = [(s, group) for s, group in enumerate(sr.groups, start=1) if group]
     group_codes: list[GroupCode] = []
-    rows: list[np.ndarray] = []
+    rows = np.zeros((2 * len(bands), instance.m), dtype=np.int64)
     satisfied: set[int] = set()
-    for s_idx, group in enumerate(sr.groups, start=1):
-        if not group:
-            continue
-        gc = greedy_assign(instance, group, eff_by_msg, s=s_idx)
+    for g, (s, group) in enumerate(bands):
+        gc = greedy_assign(instance, group, eff_by_msg, s=s)
         group_codes.append(gc)
-        r0 = np.zeros(instance.m, dtype=np.int64)
-        r1 = np.zeros(instance.m, dtype=np.int64)
-        for j, (v0, v1) in zip(gc.messages, gc.vectors):
-            r0[j] = v0
-            r1[j] = v1
-        rows += [r0, r1]
+        rows[2 * g : 2 * g + 2, gc.messages] = np.array(gc.vectors).T
         satisfied |= gc.sat
-    stacked = np.array(rows, dtype=np.int64) if rows else np.zeros((0, instance.m), dtype=np.int64)
-    return group_codes, stacked, satisfied, sr
+    return group_codes, rows, satisfied, sr
 
 
 def bingreedy(
@@ -232,13 +218,6 @@ def bingreedy(
                 satisfied=len(satisfied),
             )
         )
-        all_rows.append(rows)
+        all_rows.extend(rows)
         active -= satisfied
-    stacked = (
-        np.vstack(all_rows) if all_rows else np.zeros((0, instance.m), dtype=np.int64)
-    )
-    matrix = FMatrix.from_rows(stacked, 2)
-    report = RunReport(
-        rounds=round_records, rows_raw=matrix.n_rows, rows_pruned=matrix.prune_zero_rows().n_rows
-    )
-    return matrix, report
+    return encoded(all_rows, instance.m, rounds=round_records)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bench import BenchmarkError, ExperimentConfig, run_benchmark, write_csv
@@ -50,8 +49,12 @@ INTERNAL_ERRORS = (
 )
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PLICODE_SEED", "0"))
+def non_negative_int(text: str) -> int:
+    """argparse type for --seed: the generators take only non-negative seeds."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
 
 
 def load_instance(path: str) -> PliableInstance:
@@ -138,6 +141,9 @@ def cmd_encode(args) -> int:
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     matrix = load_matrix(args.matrix)
+    if not matrix.n_rows:
+        # A zero-row matrix file carries no width; it has the instance's.
+        matrix = FMatrix.zeros(0, instance.m, matrix.field.q)
     active = instance.initial_active()
     satisfied, report = satisfied_set(matrix, instance, active)
     valid = satisfied == active
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["auto", "json", "text"], default="auto")
     p.set_defaults(func=cmd_gen)
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--matrix-out", default=None, help="output matrix JSON (stdout if omitted)")
     p.add_argument("--report-out", default=None, help="output report JSON (stdout if omitted)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--q", type=int, default=2, help="field order for --alg optimal")
     p.add_argument("--max-k", type=int, default=None, help="length cap for --alg optimal")
     p.add_argument("--prune", action="store_true", help="drop all-zero rows from the matrix (any --alg)")
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, nargs="+", default=[100, 316, 1000])
     p.add_argument("--p", type=float, default=0.3)
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--algs", nargs="+", default=["bingreedy", "randomized"])
     p.add_argument("--m-fixed", type=int, default=None, help="fixed m instead of round(n^0.75)")
     p.add_argument("--out", required=True)

@@ -9,7 +9,7 @@ they go through fields.essential_columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -18,6 +18,7 @@ from .fields import (
     DimensionError,
     FMatrix,
     essential_columns,
+    field_vector,
     gf2_column_words,
     gf2_essential,
     solve_consistent,
@@ -36,9 +37,6 @@ class ClientStatus:
     client: int
     status: str
     decodes: int | None = None
-
-    def to_json(self) -> dict:
-        return {"client": self.client, "status": self.status, "decodes": self.decodes}
 
 
 def _check_shape(mat: FMatrix, instance: PliableInstance) -> None:
@@ -115,7 +113,7 @@ def decode_value(
     """
     _check_shape(mat, instance)
     q = mat.field.q
-    x = np.asarray(x, dtype=np.int64) % q
+    x = field_vector(x, q, "transmission values")
     if x.shape != (mat.n_rows,):
         raise DimensionError(f"transmission vector length {x.shape} != {mat.n_rows} rows")
     side = sorted(instance.side_info(i))
@@ -123,7 +121,7 @@ def decode_value(
         raise DecodingError(f"side_values keys must be exactly S_{i} = {side}")
     req = np.flatnonzero(instance.adjacency[i])
     if side:
-        sv = np.array([side_values[j] for j in side], dtype=np.int64) % q
+        sv = field_vector([side_values[j] for j in side], q, "side values")
         x = (x - FMatrix(mat.entries[:, side], mat.field).mul_vector(sv)) % q
     sub = FMatrix(mat.entries[:, req], mat.field)
     sol = solve_consistent(sub, x)
@@ -135,4 +133,4 @@ def decode_value(
 
 
 def report_to_json(report: list[ClientStatus]) -> list[dict]:
-    return [cs.to_json() for cs in report]
+    return [asdict(cs) for cs in report]

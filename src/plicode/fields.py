@@ -43,6 +43,21 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _require_integers(a: np.ndarray, what: str) -> None:
+    # Never truncate: a float, complex, bool or string entry is rejected, not cast.
+    if a.size and a.dtype.kind not in "iu" and not (
+        a.dtype.kind == "O" and all(is_integer(x) for x in a.flat)
+    ):
+        raise FieldError(f"{what} must be integers, got dtype {a.dtype}")
+
+
+def field_vector(x, q: int, what: str) -> np.ndarray:
+    """x reduced into F_q as int64; raises FieldError on any non-integer entry."""
+    a = np.asarray(x)
+    _require_integers(a, what)
+    return (a % q).astype(np.int64)
+
+
 def _check_order(q: int) -> None:
     if q > MAX_ORDER:
         raise FieldError(f"field order must be <= {MAX_ORDER}, got {q}")
@@ -90,14 +105,9 @@ class FMatrix:
         a = np.asarray(self.entries)
         if a.ndim != 2:
             raise DimensionError(f"matrix entries must be 2-D, got ndim={a.ndim}")
-        if a.size:
-            # Never truncate: a float, complex or bool entry is rejected, not cast.
-            if a.dtype.kind not in "iu" and not (
-                a.dtype.kind == "O" and all(is_integer(x) for x in a.flat)
-            ):
-                raise FieldError(f"matrix entries must be integers, got dtype {a.dtype}")
-            if a.min() < 0 or a.max() >= self.field.q:
-                raise FieldError(f"entries must lie in [0, {self.field.q})")
+        _require_integers(a, "matrix entries")
+        if a.size and (a.min() < 0 or a.max() >= self.field.q):
+            raise FieldError(f"entries must lie in [0, {self.field.q})")
         a = a.astype(np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -121,10 +131,10 @@ class FMatrix:
     def mul_vector(self, b) -> np.ndarray:
         """Compute x = A b mod q, reducing each product before the sum so no term overflows."""
         q = self.field.q
-        b = np.asarray(b, dtype=np.int64)
+        b = field_vector(b, q, "vector entries")
         if b.shape != (self.n_cols,):
             raise DimensionError(f"vector length {b.shape} incompatible with {self.n_cols} columns")
-        return ((self.entries * (b % q)) % q).sum(axis=1) % q
+        return ((self.entries * b) % q).sum(axis=1) % q
 
     def prune_zero_rows(self) -> "FMatrix":
         keep = np.any(self.entries != 0, axis=1)
@@ -138,7 +148,9 @@ class FMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FMatrix":
-        """Parse {"q": int, "rows": [[int, ...], ...]}; any non-integer value is rejected."""
+        """Parse {"q": int, "rows": [[int, ...], ...]}; any non-integer value is rejected.
+
+        "rows": [] carries no width and parses as 0 x 0."""
         q, rows = obj["q"], obj["rows"]
         if not is_integer(q):
             raise FieldError(f"field order must be an integer, got {q!r}")
@@ -149,6 +161,8 @@ class FMatrix:
             raise FieldError(f"matrix entries must be integers, got {bad[0]!r}")
         if len({len(r) for r in rows}) > 1:
             raise DimensionError("rows must all have the same length")
+        if not rows:
+            return cls.zeros(0, 0, q)
         return cls.from_rows(rows, q)
 
 
@@ -294,7 +308,7 @@ def solve_consistent(mat: FMatrix, rhs) -> LinearSolution:
     solutions. Raises InconsistentSystemError if no solution exists.
     """
     q = mat.field.q
-    rhs = np.asarray(rhs, dtype=np.int64) % q
+    rhs = field_vector(rhs, q, "rhs entries")
     if rhs.shape != (mat.n_rows,):
         raise DimensionError(f"rhs length {rhs.shape} incompatible with {mat.n_rows} rows")
     aug = np.hstack([mat.entries, rhs[:, None]])

@@ -49,10 +49,6 @@ class SearchResult:
         }
 
 
-def _client_finalizable(block: np.ndarray, q: int) -> bool:
-    return bool(essential_columns(block, q).any())
-
-
 def _vector_options(q: int, k: int) -> list[tuple[int, ...]]:
     # Lexicographic by integer value, first row most significant.
     return [
@@ -95,7 +91,7 @@ def _search_fixed_length(
             key = tuple(choice[j] for j in req)
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = _client_finalizable(table[:, key], q)
+                ok = verdicts[key] = bool(essential_columns(table[:, key], q).any())
             if not ok:
                 break
         else:

@@ -1,11 +1,13 @@
 """Randomized baseline encoder: client bins by degree, random binary rows.
 
-Clients are split into dyadic degree bins; each bin receives independent
-Bernoulli rows (bit probability ~ 2^s/n, clamped to 1/2) until all its
-clients are satisfied. The default satisfaction rule is per-row
-exactly-one: a row with exactly one 1 inside R_i satisfies client i, and
-that row remains a decoding witness no matter which rows follow. The
-cumulative span-criterion stopping rule is available behind a flag.
+Clients are split into bins by reports.dyadic_band, BinGreedy's band
+rule; each bin receives independent Bernoulli rows (bit probability
+~ 2^s/n, clamped to 1/2) until all its clients are satisfied, and
+reports.encoded stacks the rows of all bins. The default satisfaction
+rule is per-row exactly-one: a row with exactly one 1 inside R_i
+satisfies client i, and that row remains a decoding witness no matter
+which rows follow. The cumulative span-criterion stopping rule is
+available behind a flag.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .fields import FMatrix, gf2_essential
 from .instances import PliableInstance
-from .reports import BinRecord, RunReport
+from .reports import BinRecord, RunReport, dyadic_band, encoded
 
 
 class RandomizedCapError(RuntimeError):
@@ -37,8 +39,7 @@ def plan_bins(instance: PliableInstance) -> BinPlan:
     n = instance.n
     deg = np.bincount(instance.clients_by_message[1], minlength=n)
     clients = np.flatnonzero(deg)
-    # Smallest s >= 1 with d * 2^s > n: max(1, bit_length(n // d)), read off frexp.
-    band = np.maximum(1, np.frexp(n // deg[clients])[1])
+    band = dyadic_band(deg[clients], n)
     bins = {int(s): frozenset(clients[band == s].tolist()) for s in np.unique(band)}
     probs = {s: min((2**s) / n, 0.5) for s in bins}
     return BinPlan(n=n, bins=bins, probs=probs)
@@ -80,7 +81,7 @@ def randomized_code(
         if stopping == "cumulative":
             # Column j of this bin's rows, packed as words[j] with row r at bit r.
             words = [0] * m
-            reqs = [np.flatnonzero(instance.adjacency[i]).tolist() for i in clients]
+            reqs = [instance.required[i] for i in clients]
         while unsat.any():
             if len(rows) >= max_rows_per_bin:
                 raise RandomizedCapError(
@@ -105,12 +106,4 @@ def randomized_code(
                         unsat[t] = False
         all_rows += rows
         bin_records.append(BinRecord(s=s, clients=len(clients), rows=len(rows)))
-    stacked = np.array(all_rows, dtype=np.int64) if all_rows else np.zeros((0, m), dtype=np.int64)
-    matrix = FMatrix.from_rows(stacked, 2)
-    report = RunReport(
-        rounds=[],
-        rows_raw=matrix.n_rows,
-        rows_pruned=matrix.prune_zero_rows().n_rows,
-        bins=bin_records,
-    )
-    return matrix, report
+    return encoded(all_rows, m, rounds=[], bins=bin_records)

@@ -1,8 +1,22 @@
-"""Run reports shared by the encoders."""
+"""What the encoders share: the dyadic degree band, the code assembly and the run reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
+
+from .fields import FMatrix
+
+
+def dyadic_band(degrees, n: int) -> np.ndarray:
+    """Per degree d >= 1, the smallest s >= 1 with d * 2^s > n, i.e. n/2^s < d <= n/2^(s-1).
+
+    BinGreedy bands messages by effective degree, the randomized baseline
+    clients by requirement degree. s = max(1, bit_length(n // d)), read off
+    frexp (exact while n < 2^53).
+    """
+    return np.maximum(1, np.frexp(n // np.asarray(degrees, dtype=np.int64))[1])
 
 
 @dataclass(frozen=True)
@@ -12,17 +26,11 @@ class GroupRecord:
     sat: int
     eff: int
 
-    def to_json(self) -> dict:
-        return {"s": self.s, "messages": list(self.messages), "sat": self.sat, "eff": self.eff}
-
 
 @dataclass(frozen=True)
 class RoundRecord:
     groups: list[GroupRecord]
     satisfied: int
-
-    def to_json(self) -> dict:
-        return {"groups": [g.to_json() for g in self.groups], "satisfied": self.satisfied}
 
 
 @dataclass(frozen=True)
@@ -30,9 +38,6 @@ class BinRecord:
     s: int
     clients: int
     rows: int
-
-    def to_json(self) -> dict:
-        return {"s": self.s, "clients": self.clients, "rows": self.rows}
 
 
 @dataclass(frozen=True)
@@ -45,11 +50,18 @@ class RunReport:
     bins: list[BinRecord] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        out = {
-            "rounds": [r.to_json() for r in self.rounds],
-            "rows_raw": self.rows_raw,
-            "rows_pruned": self.rows_pruned,
-        }
-        if self.bins:
-            out["bins"] = [b.to_json() for b in self.bins]
+        out = asdict(self)
+        if not self.bins:
+            del out["bins"]
         return out
+
+
+def encoded(rows, m: int, **records) -> tuple[FMatrix, RunReport]:
+    """The F_2 code stacking the given length-m rows, and its report.
+
+    The matrix keeps its all-zero rows; the report counts rows with and
+    without them. records are the remaining RunReport fields.
+    """
+    entries = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    pruned = int(entries.any(axis=1).sum())
+    return FMatrix.from_rows(entries, 2), RunReport(rows_raw=len(rows), rows_pruned=pruned, **records)

@@ -9,7 +9,6 @@ from plicode.bingreedy import (
     CODING_VECTORS,
     GroupCode,
     SortingResult,
-    _band_index,
     _counts_ok,
     bingreedy,
     greedy_assign,
@@ -19,6 +18,7 @@ from plicode.bingreedy import (
 from plicode.decoding import is_valid_code
 from plicode.fields import FieldSpec, in_span
 from plicode.instances import adjacency_matrix, build_instance, random_instance
+from test_reports import _band_index
 
 
 def reference_sort_and_group(instance, active, threshold_n=None):

@@ -164,6 +164,17 @@ class TestVerify:
         assert len(report) == len(DEMO_REQUIREMENTS)
         assert all(r["status"] == "satisfied" for r in report)
 
+    @pytest.mark.parametrize("alg", ["bingreedy", "randomized", "optimal"])
+    def test_zero_row_code_roundtrips(self, tmp_path, alg, capsys):
+        # Every client is vacuous, so each encoder writes {"q": 2, "rows": []}.
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        inst.write_text(json.dumps({"m": 3, "requirements": [[], []]}))
+        assert main(["encode", "--alg", alg, "--instance", str(inst), "--matrix-out", str(mat),
+                     "--report-out", str(tmp_path / "rep.json")]) == 0
+        assert json.loads(mat.read_text())["rows"] == []
+        assert main(["verify", "--instance", str(inst), "--matrix", str(mat)]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
+
     def test_missing_matrix_file(self, tmp_path, demo_file, capsys):
         rc = main(["verify", "--instance", demo_file,
                    "--matrix", str(tmp_path / "none.json")])
@@ -222,6 +233,11 @@ class TestBench:
 
 
 class TestCounterexample:
+    def test_ignores_seed_environment(self, monkeypatch, capsys):
+        # A PLICODE_SEED default knob once made every subcommand parse this variable.
+        monkeypatch.setenv("PLICODE_SEED", "x")
+        assert main(["counterexample"]) == 0
+
     def test_all_checks_pass(self, capsys):
         rc = main(["counterexample"])
         out = capsys.readouterr().out
@@ -293,6 +309,24 @@ class TestExitCodes:
         assert main(["bench", "--n", "10", "--instances", "0",
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert "instances must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "random", "--n", "5", "--m", "3", "--seed", "-1", "--out"],
+            ["encode", "--alg", "randomized", "--seed", "-2", "--instance", "i.json", "--matrix-out"],
+            ["bench", "--n", "10", "--instances", "1", "--seed", "-1", "--out"],
+        ],
+        ids=["gen", "encode", "bench"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        # numpy's "expected non-negative integer" traceback exited 1, the invalid-code status.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(out)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_fixed_m_exits_2(self, tmp_path, capsys):
         # Rejected, not read as "no fixed m" and replaced by round(n^0.75).

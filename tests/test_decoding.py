@@ -12,7 +12,7 @@ from plicode.decoding import (
     report_to_json,
     satisfied_set,
 )
-from plicode.fields import MAX_ORDER, FieldSpec, FMatrix, in_span
+from plicode.fields import MAX_ORDER, FieldError, FieldSpec, FMatrix, in_span
 from plicode.instances import build_instance, random_instance
 from plicode.randomized import randomized_code
 
@@ -145,6 +145,14 @@ class TestDecodeValue:
     def test_side_values_must_cover_side_info(self, demo_instance, demo_matrix):
         with pytest.raises(DecodingError, match="side_values"):
             decode_value(demo_matrix, demo_instance, 3, [0, 1, 0], {})
+
+    def test_non_integer_values_rejected(self, demo_instance, demo_matrix):
+        # Both were truncated to integers and decoded to a value.
+        x = demo_matrix.mul_vector([1, 1, 0])
+        with pytest.raises(FieldError, match="integer"):
+            decode_value(demo_matrix, demo_instance, 3, x + 0.5, {2: 0})
+        with pytest.raises(FieldError, match="integer"):
+            decode_value(demo_matrix, demo_instance, 3, x, {2: 0.5})
 
 
 def test_single_client_readers_leave_required_unbuilt():

@@ -157,6 +157,27 @@ class TestFMatrix:
         expected = sum(x * y for x, y in zip(row, b)) % q
         assert FMatrix.from_rows([row], q).mul_vector(b).tolist() == [expected]
 
+    @pytest.mark.parametrize(
+        "b", [[1.7, 0, 1], [1.0, 0.0, 1.0], [True, False, True], np.array([1, "0", 1], dtype=object)],
+        ids=["float", "integral-float", "bool", "object-str"],
+    )
+    def test_mul_vector_non_integer_rejected(self, b):
+        # [1.7, 0, 1] was truncated to [1, 0, 1].
+        with pytest.raises(FieldError, match="integer"):
+            FMatrix.from_rows([[1, 1, 1]], 2).mul_vector(b)
+
+    def test_mul_vector_accepts_integer_dtypes(self):
+        m = FMatrix.from_rows([[1, 2, 1]], 3)
+        for b in ([1, 1, 5], np.array([1, 1, 5], dtype=np.uint8), np.array([1, 1, 5], dtype=object)):
+            assert m.mul_vector(b).tolist() == [2]
+
+    def test_json_zero_rows_roundtrip(self):
+        # A zero-row matrix serialises as "rows": [], which carries no width.
+        obj = FMatrix.zeros(0, 3, 5).to_json()
+        assert obj == {"q": 5, "rows": []}
+        mat = FMatrix.from_json(obj)
+        assert mat.entries.shape == (0, 0) and mat.field.q == 5
+
     def test_prune_zero_rows(self):
         m = FMatrix.from_rows([[1, 0], [0, 0], [0, 1]], 2)
         assert m.prune_zero_rows().entries.tolist() == [[1, 0], [0, 1]]
@@ -270,6 +291,11 @@ class TestSolveConsistent:
     def test_inconsistent_raises(self):
         with pytest.raises(InconsistentSystemError):
             solve_consistent(FMatrix.from_rows([[0]], 2), [1])
+
+    @pytest.mark.parametrize("rhs", [[3.5], [True], np.array(["3"])])
+    def test_non_integer_rhs_rejected(self, rhs):
+        with pytest.raises(FieldError, match="integer"):
+            solve_consistent(FMatrix.from_rows([[1]], 5), rhs)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

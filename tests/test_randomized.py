@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from plicode.bingreedy import _band_index, bingreedy
+from plicode.bingreedy import bingreedy
 from plicode.decoding import decodable_messages, is_valid_code
 from plicode.instances import PliableInstance, build_instance, random_instance
 from plicode.fields import essential_columns
 from plicode.randomized import RandomizedCapError, _seed_stream, plan_bins, randomized_code
+from test_reports import _band_index
 
 
 def reference_cumulative_code(instance, seed):

@@ -47,6 +47,8 @@ class ExperimentConfig:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.instances < 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.m_fixed is not None and self.m_fixed < 1:
             raise ValueError(f"m_fixed must be >= 1, got {self.m_fixed}")
         for alg in self.algorithms:

@@ -74,6 +74,7 @@ def sort_and_group(
     n_thr = len(active) if threshold_n is None else threshold_n
     remaining = np.zeros(instance.n, dtype=bool)
     remaining[list(active)] = True
+    acc = np.min_scalar_type(instance.n)
     csum = np.zeros(indices.size + 1, dtype=np.int64)
     np.cumsum(remaining[indices], out=csum[1:])
     deg = np.diff(csum[indptr])
@@ -93,7 +94,8 @@ def sort_and_group(
         eff_clients.append(frozenset(clients.tolist()))
         eff_degree.append(int(clients.size))
         remaining[clients] = False
-        deg -= adj[clients].sum(axis=0)
+        # No column sum exceeds n, so the narrowest type holding n is exact.
+        deg -= adj[clients].sum(axis=0, dtype=acc)
 
     smax = max(1, n_thr.bit_length())
     groups: list[list[int]] = [[] for _ in range(smax)]
@@ -110,6 +112,17 @@ def _counts_ok(counts: list[int]) -> bool:
     # types may occur (three distinct types span all of F_2^2).
     distinct = (counts[0] > 0) + (counts[1] > 0) + (counts[2] > 0)
     return distinct <= 2 and (counts[0] == 1 or counts[1] == 1 or counts[2] == 1)
+
+
+# _counts_ok reads each count only as 0, 1 or >= 2, so a SAT client is one of
+# 27 states c0 + 3*c1 + 9*c2 with counts capped at 2. _NEXT[t][state] adds one
+# vector of type t; _OK[state] is _counts_ok of the state's counts.
+_STATES = [(c0, c1, c2) for c2 in range(3) for c1 in range(3) for c0 in range(3)]
+_OK = [_counts_ok(list(c)) for c in _STATES]
+_NEXT = [
+    [_STATES.index(tuple(min(x + (k == t), 2) for k, x in enumerate(c))) for c in _STATES]
+    for t in range(3)
+]
 
 
 def greedy_assign(
@@ -130,33 +143,25 @@ def greedy_assign(
         raise ValueError("group must be nonempty")
     indptr, indices = instance.clients_by_message
     bounds = indptr.tolist()
-    sat: dict[int, list[int]] = {}
+    sat: dict[int, int] = {}  # client -> state
     unsat: set[int] = set()
     vectors: list[tuple[int, int]] = []
     for j in group:
         affected = [i for i in indices[bounds[j] : bounds[j + 1]].tolist() if i in sat]
-        best_t = 0
-        best_keep = -1
-        for t in range(3):
-            keep = 0
-            for i in affected:
-                c = sat[i]
-                c[t] += 1
-                if _counts_ok(c):
-                    keep += 1
-                c[t] -= 1
-            if keep > best_keep:
-                best_t, best_keep = t, keep
-        for i in affected:
-            c = sat[i]
-            c[best_t] += 1
-            if not _counts_ok(c):
+        states = [sat[i] for i in affected]
+        keeps = [sum(_OK[nxt[st]] for st in states) for nxt in _NEXT]
+        best_t = keeps.index(max(keeps))  # first maximum: (1,0) > (0,1) > (1,1)
+        nxt = _NEXT[best_t]
+        for i, st in zip(affected, states):
+            st = nxt[st]
+            if _OK[st]:
+                sat[i] = st
+            else:
                 del sat[i]
                 unsat.add(i)
+        first = nxt[0]
         for i in eff[j]:
-            counts = [0, 0, 0]
-            counts[best_t] = 1
-            sat[i] = counts
+            sat[i] = first
         vectors.append(CODING_VECTORS[best_t])
         if trace is not None:
             trace.append((j, CODING_VECTORS[best_t], set(sat)))

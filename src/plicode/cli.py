@@ -50,11 +50,14 @@ INTERNAL_ERRORS = (
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type for --seed: the generators take only non-negative seeds."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
-    return seed
+    """argparse type for --seed and the search caps --max-k and --max-r.
+
+    The generators take only non-negative seeds, and 0 is a real cap.
+    """
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def load_instance(path: str) -> PliableInstance:
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", default=None, help="output report JSON (stdout if omitted)")
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--q", type=int, default=2, help="field order for --alg optimal")
-    p.add_argument("--max-k", type=int, default=None, help="length cap for --alg optimal")
+    p.add_argument("--max-k", type=non_negative_int, default=None, help="length cap for --alg optimal")
     p.add_argument("--prune", action="store_true", help="drop all-zero rows from the matrix (any --alg)")
     p.add_argument("--use-original-n", action="store_true", help="fixed grouping thresholds")
     p.add_argument("--stopping", choices=["exactly_one", "cumulative"], default="exactly_one")
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minrank", help="constrained minrank of an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-r", type=int, default=None)
+    p.add_argument("--max-r", type=non_negative_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_minrank)
 

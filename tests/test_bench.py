@@ -46,6 +46,7 @@ class TestConfig:
             dict(instances=0),
             dict(m_fixed=0),
             dict(algorithms=("bogus",)),
+            dict(base_seed=-1),  # rejected here, not later inside numpy's seeding
         ],
     )
     def test_invalid_configs(self, bad):

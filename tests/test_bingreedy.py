@@ -1,5 +1,6 @@
 """Deterministic greedy encoder: sorting, grouping, greedy coding, rounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from plicode.bingreedy import (
     CODING_VECTORS,
     GroupCode,
     SortingResult,
+    _NEXT,
+    _OK,
     _counts_ok,
     bingreedy,
     greedy_assign,
@@ -107,7 +110,30 @@ def test_matches_dense_reference(n, p, use_original_n):
     assert report.rows_raw == len(rows)
 
 
+def test_state_table_matches_counts_ok():
+    # A state caps each count at 2; the table must agree with _counts_ok on
+    # uncapped counts, before and after adding any vector type.
+    def state(counts):
+        return sum(min(c, 2) * 3**k for k, c in enumerate(counts))
+
+    for counts in itertools.product(range(5), repeat=3):
+        assert _OK[state(counts)] == _counts_ok(list(counts)), counts
+        for t in range(3):
+            after = [c + (k == t) for k, c in enumerate(counts)]
+            assert _NEXT[t][state(counts)] == state(after), (counts, t)
+            assert _OK[_NEXT[t][state(counts)]] == _counts_ok(after), (counts, t)
+
+
 class TestSortAndGroup:
+    def test_pick_removing_more_than_255_clients(self):
+        # One pick removes 300 clients from both columns' degrees, past what
+        # an 8-bit column sum holds.
+        inst = build_instance(2, [{0, 1}] * 300)
+        active = inst.initial_active()
+        sr = sort_and_group(inst, active)
+        ref = reference_sort_and_group(inst, active)
+        assert (sr.eff_degree, sr.order) == (ref.eff_degree, ref.order) == ([300], [0])
+
     def test_demo_ordering_and_groups(self, demo_instance):
         sr = sort_and_group(demo_instance, demo_instance.initial_active())
         assert sr.order == [0, 1, 2]

@@ -328,6 +328,24 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # It exited 0 and printed "K": null.
+            (["minrank", "--q", "2", "--max-r", "-1", "--out"], "--max-r"),
+            # It exited 2 with "no code of length <= -1 found".
+            (["encode", "--alg", "optimal", "--max-k", "-1", "--matrix-out"], "--max-k"),
+        ],
+        ids=["minrank", "optimal"],
+    )
+    def test_negative_search_cap_exits_2(self, quad_file, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(out), "--instance", quad_file])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_fixed_m_exits_2(self, tmp_path, capsys):
         # Rejected, not read as "no fixed m" and replaced by round(n^0.75).
         out = tmp_path / "b.csv"

@@ -7,7 +7,13 @@ from plicode.bingreedy import bingreedy
 from plicode.decoding import decodable_messages, is_valid_code
 from plicode.instances import PliableInstance, build_instance, random_instance
 from plicode.fields import essential_columns
-from plicode.randomized import RandomizedCapError, _seed_stream, plan_bins, randomized_code
+from plicode.randomized import (
+    RandomizedCapError,
+    _from_clients,
+    _seed_stream,
+    plan_bins,
+    randomized_code,
+)
 from test_reports import _band_index
 
 
@@ -56,9 +62,24 @@ def reference_exactly_one_code(instance, seed):
     return all_rows, bins
 
 
-@pytest.mark.parametrize("n, p", [(200, 0.3), (3000, 0.01), (3000, 0.3)])
-def test_exactly_one_matches_dense_reference(n, p):
+@pytest.mark.parametrize(
+    "n, p, client_side, message_side",
+    [
+        (200, 0.3, {5}, {4}),
+        (3000, 0.01, {8, 11, 12}, {9, 10}),
+        (3000, 0.3, {6}, {5}),
+        # Bins 13 and 14 hold 1801 and 3725 clients of degree 2 and 1.
+        (10000, 0.001, {11, 12, 13, 14}, set()),
+    ],
+    ids=["200-0.3", "3000-0.01", "3000-0.3", "10000-0.001"],
+)
+def test_exactly_one_matches_dense_reference(n, p, client_side, message_side):
     inst = random_instance(n, round(n**0.75), p, seed=[n, 10])
+    plan = plan_bins(inst)
+    edges = inst.clients_by_message[1].size
+    sides = {s: _from_clients(plan.edges[s], plan.probs[s], edges) for s in plan.bins}
+    assert {s for s, by_client in sides.items() if by_client} == client_side
+    assert {s for s, by_client in sides.items() if not by_client} == message_side
     for seed in (1, [2, 3]):
         matrix, report = randomized_code(inst, seed=seed)
         rows, bins = reference_exactly_one_code(inst, seed)
@@ -96,6 +117,13 @@ class TestPlanBins:
             assert not (seen & clients)
             seen |= clients
         assert seen == set(inst.non_vacuous_clients())
+
+    def test_edges_sum_bin_requirements(self):
+        inst = random_instance(300, 40, 0.1, seed=2)
+        plan = plan_bins(inst)
+        assert plan.edges == {
+            s: sum(len(inst.requirements[i]) for i in clients) for s, clients in plan.bins.items()
+        }
 
     def test_probabilities_clamped(self):
         inst = build_instance(2, [{0} for _ in range(4)])

@@ -11,7 +11,7 @@ Indices are 0-based throughout.
 """
 
 from .bench import ExperimentConfig, ResultRow, run_benchmark, summarize, write_csv
-from .bingreedy import bingreedy, greedy_assign, run_round, sort_and_group
+from .bingreedy import bingreedy, greedy_assign, sort_and_group
 from .decoding import (
     ClientStatus,
     decodable_messages,
@@ -67,7 +67,6 @@ __all__ = [
     "randomized_code",
     "rank",
     "run_benchmark",
-    "run_round",
     "satisfied_set",
     "solve_consistent",
     "sort_and_group",

@@ -1,11 +1,13 @@
 """BinGreedy: deterministic round-based encoder over F_2.
 
-Each round sorts messages by effective degree on the remaining active
-subgraph, groups them into degree bands by reports.dyadic_band, and
-greedily assigns one of the three nonzero 2-bit coding vectors per message
-so that two transmissions per group satisfy at least a third of the
-group's effective clients. Rounds repeat until every client is satisfied;
-reports.encoded stacks the rows of all rounds.
+One loop in bingreedy runs the rounds. Each round sorts messages by
+effective degree on the remaining active subgraph (sort_and_group), groups
+them into degree bands by reports.dyadic_band, greedily assigns one of the
+three nonzero 2-bit coding vectors per message (greedy_assign) so that two
+transmissions per group satisfy at least a third of the group's effective
+clients, writes the group's two rows and records the group and the round.
+Rounds repeat until every client is satisfied; reports.encoded stacks the
+rows of all rounds.
 
 All tie-breaks are fixed (smallest message index; vector preference
 (1,0) > (0,1) > (1,1)) so identical instances yield identical matrices.
@@ -41,7 +43,6 @@ class SortingResult:
     eff_clients: list[frozenset[int]]
     eff_degree: list[int]
     groups: list[list[int]]
-    group_thresholds: list[tuple[float, float]]
     threshold_n: int
 
 
@@ -49,7 +50,6 @@ class SortingResult:
 class GroupCode:
     """Outcome of the greedy 2-row coding for one group."""
 
-    s: int
     messages: list[int]
     vectors: list[tuple[int, int]]
     sat: set[int]
@@ -101,8 +101,7 @@ def sort_and_group(
     groups: list[list[int]] = [[] for _ in range(smax)]
     for j, s in zip(order, dyadic_band(eff_degree, n_thr).tolist()):
         groups[s - 1].append(j)
-    thresholds = [(n_thr / 2**s, n_thr / 2 ** (s - 1)) for s in range(1, smax + 1)]
-    return SortingResult(order, eff_clients, eff_degree, groups, thresholds, n_thr)
+    return SortingResult(order, eff_clients, eff_degree, groups, n_thr)
 
 
 def _counts_ok(counts: list[int]) -> bool:
@@ -129,8 +128,6 @@ def greedy_assign(
     instance: PliableInstance,
     group: list[int],
     eff: dict[int, frozenset[int]],
-    s: int = 0,
-    trace: list | None = None,
 ) -> GroupCode:
     """Assign one coding vector per group message, keeping SAT clients maximal.
 
@@ -163,34 +160,7 @@ def greedy_assign(
         for i in eff[j]:
             sat[i] = first
         vectors.append(CODING_VECTORS[best_t])
-        if trace is not None:
-            trace.append((j, CODING_VECTORS[best_t], set(sat)))
-    return GroupCode(s=s, messages=list(group), vectors=vectors, sat=set(sat), unsat=unsat)
-
-
-def run_round(
-    instance: PliableInstance,
-    active: set[int],
-    threshold_n: int | None = None,
-) -> tuple[list[GroupCode], np.ndarray, set[int], SortingResult]:
-    """One round: sort, group, and emit two rows per nonempty group.
-
-    Returns the group codes, the stacked round rows (2 per nonempty group,
-    zero outside the group's columns), the set of clients satisfied this
-    round, and the sorting result.
-    """
-    sr = sort_and_group(instance, active, threshold_n=threshold_n)
-    eff_by_msg = dict(zip(sr.order, sr.eff_clients))
-    bands = [(s, group) for s, group in enumerate(sr.groups, start=1) if group]
-    group_codes: list[GroupCode] = []
-    rows = np.zeros((2 * len(bands), instance.m), dtype=np.int64)
-    satisfied: set[int] = set()
-    for g, (s, group) in enumerate(bands):
-        gc = greedy_assign(instance, group, eff_by_msg, s=s)
-        group_codes.append(gc)
-        rows[2 * g : 2 * g + 2, gc.messages] = np.array(gc.vectors).T
-        satisfied |= gc.sat
-    return group_codes, rows, satisfied, sr
+    return GroupCode(messages=list(group), vectors=vectors, sat=set(sat), unsat=unsat)
 
 
 def bingreedy(
@@ -199,30 +169,34 @@ def bingreedy(
 ) -> tuple[FMatrix, RunReport]:
     """Run rounds until every client is satisfied; stack all rows over F_2.
 
+    A round that satisfies no client raises EncoderStallError.
     use_original_n switches the grouping thresholds from the per-round
     |active| to the instance's original client count. The returned matrix
     keeps its all-zero rows; the report carries both row counts.
     """
+    thr = instance.n if use_original_n else None
     active = instance.initial_active()
     all_rows: list[np.ndarray] = []
     round_records: list[RoundRecord] = []
     while active:
-        thr = instance.n if use_original_n else None
-        group_codes, rows, satisfied, _ = run_round(instance, active, threshold_n=thr)
+        sr = sort_and_group(instance, active, threshold_n=thr)
+        eff_by_msg = dict(zip(sr.order, sr.eff_clients))
+        bands = [(s, group) for s, group in enumerate(sr.groups, start=1) if group]
+        # Two rows per nonempty group, zero outside the group's columns.
+        rows = np.zeros((2 * len(bands), instance.m), dtype=np.int64)
+        groups: list[GroupRecord] = []
+        satisfied: set[int] = set()
+        for g, (s, group) in enumerate(bands):
+            gc = greedy_assign(instance, group, eff_by_msg)
+            rows[2 * g : 2 * g + 2, gc.messages] = np.array(gc.vectors).T
+            groups.append(GroupRecord(s, gc.messages, len(gc.sat), len(gc.sat) + len(gc.unsat)))
+            satisfied |= gc.sat
         if not satisfied:
             raise EncoderStallError(
                 f"round satisfied zero of {len(active)} active clients; "
-                f"groups={[gc.messages for gc in group_codes]}"
+                f"groups={[g.messages for g in groups]}"
             )
-        round_records.append(
-            RoundRecord(
-                groups=[
-                    GroupRecord(gc.s, gc.messages, len(gc.sat), len(gc.sat) + len(gc.unsat))
-                    for gc in group_codes
-                ],
-                satisfied=len(satisfied),
-            )
-        )
+        round_records.append(RoundRecord(groups=groups, satisfied=len(satisfied)))
         all_rows.extend(rows)
         active -= satisfied
     return encoded(all_rows, instance.m, rounds=round_records)

@@ -269,10 +269,9 @@ def _determined(r: np.ndarray, pivots: list[int], n_cols: int) -> np.ndarray:
     take one value across all solutions.
     """
     out = np.zeros(n_cols, dtype=bool)
-    pivot_set = set(pivots)
-    free = np.array([c for c in range(n_cols) if c not in pivot_set], dtype=np.int64)
-    for row_idx, col in enumerate(pivots):
-        out[col] = free.size == 0 or not np.any(r[row_idx, free])
+    free = np.ones(n_cols, dtype=bool)
+    free[pivots] = False
+    out[pivots] = ~r[: len(pivots), :n_cols][:, free].any(axis=1)
     return out
 
 

@@ -119,7 +119,8 @@ class PliableInstance:
     @classmethod
     def from_text(cls, text: str) -> "PliableInstance":
         """Parse the line format; only blank lines may follow the n-th client line."""
-        lines = text.split("\n")
+        # The newline ending the last line starts no line of its own.
+        lines = text.removesuffix("\n").split("\n")
         if not lines or not lines[0].strip():
             raise InstanceError("missing 'm n' header line")
         try:
@@ -161,17 +162,30 @@ def build_instance(m: int, requirements: Sequence[Iterable[int]]) -> PliableInst
     return PliableInstance(adj)
 
 
+def seed_entries(seed, error: type[ValueError]) -> list[int]:
+    """The entries of a seed (an int or a sequence of ints) as Python ints.
+
+    A bool, float or negative entry raises error; no entry is truncated.
+    An int seeds a generator exactly as the one-entry list does.
+    """
+    entries = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    for x in entries:
+        if not is_integer(x) or x < 0:
+            raise error(f"seed entries must be integers >= 0, got {x!r}")
+    return [int(x) for x in entries]
+
+
 def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
     """Each (client, message) edge present independently with probability p.
 
-    seed may be an int or a sequence of ints; identical (n, m, p, seed)
-    always yields the identical instance.
+    seed may be an int or a sequence of ints, each >= 0; identical
+    (n, m, p, seed) always yields the identical instance.
     """
     if n < 1 or m < 1:
         raise InstanceError(f"need n, m >= 1, got n={n}, m={m}")
     if not 0.0 <= p <= 1.0:
         raise InstanceError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_entries(seed, InstanceError))
     # Row blocks of about 2^16 draws, taken in order from one generator, give
     # the bits of a single rng.random((n, m)) < p without its n x m floats.
     adj = np.empty((n, m), dtype=bool)

@@ -49,13 +49,6 @@ class SearchResult:
         }
 
 
-def _vector_options(q: int, k: int) -> list[tuple[int, ...]]:
-    # Lexicographic by integer value, first row most significant.
-    return [
-        tuple((v // q ** (k - 1 - r)) % q for r in range(k)) for v in range(q**k)
-    ]
-
-
 def _search_fixed_length(
     instance: PliableInstance, q: int, k: int, counter: list[int]
 ) -> np.ndarray | None:
@@ -72,7 +65,8 @@ def _search_fixed_length(
     finish: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     for req in filter(None, instance.required):
         finish[req[-1]].append(req)
-    table = np.array(_vector_options(q, k), dtype=np.int64).T
+    # Lexicographic by integer value, first row most significant.
+    table = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64).T
     n_options = table.shape[1]
     verdicts: dict[tuple[int, ...], bool] = {}
     choice = [-1] * m  # -1: no option tried yet at this column
@@ -196,27 +190,27 @@ def minrank_fitted(
 
 def _fits_every_client(vecs: np.ndarray, incidence: np.ndarray) -> bool:
     """True iff, for every client (column of incidence), some row of vecs has
-    exactly one nonzero entry inside R_i and that entry is 1."""
-    ones = (vecs == 1).astype(np.int64) @ incidence
+    exactly one nonzero entry inside R_i and that entry is 1.
+
+    vecs holds every nonzero vector of the subspace, so a row with exactly
+    one nonzero entry inside R_i has a multiple whose entry there is 1; the
+    nonzero count alone decides.
+    """
     nonzero = (vecs != 0).astype(np.int64) @ incidence
-    return bool(((ones == 1) & (nonzero == 1)).any(axis=0).all())
+    return bool((nonzero == 1).any(axis=0).all())
 
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def min_field_for_length2(
-    m: int,
-    primes=DEFAULT_PRIMES,
-    max_matrices: int = 10**9,
-) -> int | None:
-    """Smallest listed prime q admitting a length-2 code for the all-pairs
-    instance on m messages; None if no listed prime works."""
+def min_field_for_length2(m: int) -> int | None:
+    """Smallest prime q in DEFAULT_PRIMES admitting a length-2 code for the
+    all-pairs instance on m messages; None if none of them works."""
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     instance = all_pairs_instance(m)
-    for q in primes:
-        res = optimal_code_length(instance, q, max_K=2, max_matrices=max_matrices)
+    for q in DEFAULT_PRIMES:
+        res = optimal_code_length(instance, q, max_K=2)
         if res.value == 2:
             return q
     return None

@@ -22,19 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FMatrix, gf2_essential
-from .instances import PliableInstance
+from .instances import PliableInstance, seed_entries
 from .reports import BinRecord, RunReport, dyadic_band, encoded
 
 
+MAX_ROWS_PER_BIN = 100_000
+
+
 class RandomizedCapError(RuntimeError):
-    """A bin exceeded its row cap; signals pathological parameters."""
+    """A bin reached MAX_ROWS_PER_BIN rows; signals pathological parameters."""
 
 
 @dataclass(frozen=True)
 class BinPlan:
     """Client bins by degree band, per-bin bit probabilities and edge counts."""
 
-    n: int
     bins: dict[int, frozenset[int]]
     probs: dict[int, float]
     edges: dict[int, int]  # sum of |R_i| over bin s
@@ -49,13 +51,11 @@ def plan_bins(instance: PliableInstance) -> BinPlan:
     bins = {int(s): frozenset(clients[band == s].tolist()) for s in np.unique(band)}
     probs = {s: min((2**s) / n, 0.5) for s in bins}
     edges = {s: int(deg[clients[band == s]].sum()) for s in bins}
-    return BinPlan(n=n, bins=bins, probs=probs, edges=edges)
+    return BinPlan(bins=bins, probs=probs, edges=edges)
 
 
 def _seed_stream(seed, s: int) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [int(x) for x in seed] + [s]
-    return [int(seed), s]
+    return seed_entries(seed, ValueError) + [s]
 
 
 def _from_clients(bin_edges: int, p: float, edges: int) -> bool:
@@ -74,7 +74,6 @@ def randomized_code(
     instance: PliableInstance,
     seed,
     stopping: str = "exactly_one",
-    max_rows_per_bin: int = 100_000,
 ) -> tuple[FMatrix, RunReport]:
     """Draw random F_2 rows per bin until every bin client is satisfied.
 
@@ -85,6 +84,7 @@ def randomized_code(
     """
     if stopping not in ("exactly_one", "cumulative"):
         raise ValueError(f"unknown stopping rule {stopping!r}")
+    seed = seed_entries(seed, ValueError)  # checked even when there are no bins
     plan = plan_bins(instance)
     indptr, indices = instance.clients_by_message
     bounds = indptr.tolist()  # Python-int slice bounds; numpy scalars cost more per slice
@@ -106,7 +106,7 @@ def randomized_code(
             words = [0] * m
             reqs = [instance.required[i] for i in clients]
         while unsat.any():
-            if len(rows) >= max_rows_per_bin:
+            if len(rows) >= MAX_ROWS_PER_BIN:
                 raise RandomizedCapError(
                     f"bin {s}: {len(rows)} rows drawn, {int(unsat.sum())} of "
                     f"{len(clients)} clients still unsatisfied (p_s={p})"

@@ -1,5 +1,6 @@
 """Deterministic greedy encoder: sorting, grouping, greedy coding, rounds."""
 
+import importlib
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from plicode.bingreedy import (
     CODING_VECTORS,
+    EncoderStallError,
     GroupCode,
     SortingResult,
     _NEXT,
@@ -15,7 +17,6 @@ from plicode.bingreedy import (
     _counts_ok,
     bingreedy,
     greedy_assign,
-    run_round,
     sort_and_group,
 )
 from plicode.decoding import is_valid_code
@@ -50,11 +51,10 @@ def reference_sort_and_group(instance, active, threshold_n=None):
     groups = [[] for _ in range(smax)]
     for j, d in zip(order, eff_degree):
         groups[_band_index(d, n_thr) - 1].append(j)
-    thresholds = [(n_thr / 2**s, n_thr / 2 ** (s - 1)) for s in range(1, smax + 1)]
-    return SortingResult(order, eff_clients, eff_degree, groups, thresholds, n_thr)
+    return SortingResult(order, eff_clients, eff_degree, groups, n_thr)
 
 
-def reference_greedy_assign(instance, group, eff, s=0):
+def reference_greedy_assign(instance, group, eff):
     """greedy_assign reading each message's clients from its strided column."""
     adj = adjacency_matrix(instance)
     sat, unsat, vectors = {}, set(), []
@@ -78,7 +78,7 @@ def reference_greedy_assign(instance, group, eff, s=0):
         for i in eff[j]:
             sat[i] = [int(t == best_t) for t in range(3)]
         vectors.append(CODING_VECTORS[best_t])
-    return GroupCode(s=s, messages=list(group), vectors=vectors, sat=set(sat), unsat=unsat)
+    return GroupCode(messages=list(group), vectors=vectors, sat=set(sat), unsat=unsat)
 
 
 @pytest.mark.parametrize("use_original_n", [False, True], ids=["active-n", "original-n"])
@@ -95,10 +95,10 @@ def test_matches_dense_reference(n, p, use_original_n):
         assert sr == reference_sort_and_group(inst, active, threshold_n=thr)
         eff = dict(zip(sr.order, sr.eff_clients))
         satisfied = set()
-        for s, group in enumerate(sr.groups, start=1):
+        for group in sr.groups:
             if group:
-                gc = greedy_assign(inst, group, eff, s=s)
-                assert gc == reference_greedy_assign(inst, group, eff, s=s)
+                gc = greedy_assign(inst, group, eff)
+                assert gc == reference_greedy_assign(inst, group, eff)
                 rows += [[0] * inst.m, [0] * inst.m]
                 for j, (v0, v1) in zip(gc.messages, gc.vectors):
                     rows[-2][j], rows[-1][j] = v0, v1
@@ -144,7 +144,6 @@ class TestSortAndGroup:
             frozenset({2}),
         ]
         assert sr.groups == [[0], [1], [2]]
-        assert sr.group_thresholds == [(3.5, 7.0), (1.75, 3.5), (0.875, 1.75)]
 
     def test_single_message_single_client(self):
         inst = build_instance(1, [{0}])
@@ -221,7 +220,7 @@ class TestSortAndGroup:
 class TestGreedyAssign:
     def test_singleton_group(self, demo_instance):
         eff = {0: frozenset({0, 3, 4, 6})}
-        gc = greedy_assign(demo_instance, [0], eff, s=1)
+        gc = greedy_assign(demo_instance, [0], eff)
         assert gc.vectors == [(1, 0)]
         assert gc.sat == {0, 3, 4, 6} and gc.unsat == set()
 
@@ -239,22 +238,24 @@ class TestGreedyAssign:
         assert gc.sat == {0, 1} and gc.unsat == set()
 
     def test_sat_soundness_replay(self):
-        # Instrumented replay: after every greedy step, every SAT client
-        # passes the span criterion restricted to the visited columns.
+        # Replay: after every greedy step, every SAT client passes the span
+        # criterion restricted to the visited columns. The greedy is online,
+        # so its state after k steps is its result on the group's first k
+        # messages.
         inst = random_instance(40, 10, 0.4, seed=6)
         active = inst.initial_active()
         sr = sort_and_group(inst, active)
         eff = dict(zip(sr.order, sr.eff_clients))
         spec = FieldSpec(2)
-        for s, group in enumerate(sr.groups, start=1):
+        for group in sr.groups:
             if not group:
                 continue
-            trace = []
-            gc = greedy_assign(inst, group, eff, s=s, trace=trace)
-            assert [v for _, v, _ in trace] == gc.vectors
-            for step in range(len(trace)):
-                visited = {j: np.array(v) for j, v, _ in trace[: step + 1]}
-                for i in trace[step][2]:
+            gc = greedy_assign(inst, group, eff)
+            for k in range(1, len(group) + 1):
+                step = greedy_assign(inst, group[:k], eff)
+                assert step.vectors == gc.vectors[:k]
+                visited = {j: np.array(v) for j, v in zip(group, step.vectors)}
+                for i in step.sat:
                     vecs = [visited[j] for j in sorted(inst.requirements[i]) if j in visited]
                     assert any(
                         not in_span(v, vecs[:t] + vecs[t + 1 :], spec)
@@ -267,29 +268,43 @@ class TestGreedyAssign:
 
 
 class TestRunRound:
+    """One round of bingreedy, read from its matrix and report."""
+
     def test_demo_round_matrix_pattern(self, demo_instance):
-        gcs, rows, satisfied, _ = run_round(demo_instance, demo_instance.initial_active())
-        assert len(gcs) == 3
-        assert rows.shape == (6, 3)
+        matrix, report = bingreedy(demo_instance)
+        assert len(report.rounds) == 1
+        assert [g.messages for g in report.rounds[0].groups] == [[0], [1], [2]]
         expected = np.zeros((6, 3), dtype=np.int64)
         expected[0, 0] = expected[2, 1] = expected[4, 2] = 1
-        assert np.array_equal(rows, expected)
-        assert satisfied == set(range(7))
+        assert np.array_equal(matrix.entries, expected)
+        assert report.rounds[0].satisfied == demo_instance.n
 
     def test_single_common_message(self):
         inst = build_instance(3, [{1}, {1}, {1}])
-        gcs, rows, satisfied, _ = run_round(inst, {0, 1, 2})
-        assert len(gcs) == 1 and rows.shape == (2, 3)
-        assert satisfied == {0, 1, 2}
+        matrix, report = bingreedy(inst)
+        assert len(report.rounds) == 1 and len(report.rounds[0].groups) == 1
+        assert matrix.entries.shape == (2, 3)
+        assert report.rounds[0].satisfied == 3
 
     def test_round_satisfies_at_least_third(self):
+        # Every round, not only the first, satisfies a third of its active clients.
         for trial in range(30):
             inst = random_instance(60, 12, 0.3, seed=[8, trial])
-            active = inst.initial_active()
-            if not active:
-                continue
-            _, _, satisfied, _ = run_round(inst, active)
-            assert len(satisfied) >= math.ceil(len(active) / 3)
+            active = len(inst.initial_active())
+            _, report = bingreedy(inst)
+            for rnd in report.rounds:
+                assert rnd.satisfied >= math.ceil(active / 3)
+                active -= rnd.satisfied
+            assert active == 0
+
+    def test_round_satisfying_no_client_stalls(self, demo_instance, monkeypatch):
+        def assign_nothing(instance, group, eff):
+            return GroupCode(list(group), [(1, 0)] * len(group), sat=set(), unsat=set())
+
+        module = importlib.import_module("plicode.bingreedy")
+        monkeypatch.setattr(module, "greedy_assign", assign_nothing)
+        with pytest.raises(EncoderStallError, match="satisfied zero of 7 active clients"):
+            bingreedy(demo_instance)
 
 
 class TestBinGreedy:

@@ -140,6 +140,16 @@ class TestRandomInstance:
         with pytest.raises(InstanceError):
             random_instance(3, 3, 1.5, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 1.9, -1, [3, 1.0], [3, False], (3, -1)])
+    def test_seed_never_truncated(self, seed):
+        # Not read as seed 1 (or [3, 1], [3, 0]), and no numpy error instead.
+        with pytest.raises(InstanceError, match="seed entries"):
+            random_instance(3, 3, 0.5, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        seed = [np.int64(3), np.uint8(1)]
+        assert random_instance(10, 5, 0.5, seed=seed) == random_instance(10, 5, 0.5, seed=[3, 1])
+
 
 class TestAllPairsInstance:
     def test_m4_matches_listing(self, quad_instance):
@@ -281,6 +291,16 @@ class TestSerialization:
     def test_text_roundtrip_with_empty_set(self):
         inst = build_instance(3, [{0, 2}, set(), {1}])
         assert PliableInstance.from_text(inst.to_text()) == inst
+
+    def test_text_roundtrip_with_last_client_vacuous(self):
+        inst = build_instance(3, [{0}, {1}, set()])
+        assert inst.to_text() == "3 3\n0\n1\n\n"
+        assert PliableInstance.from_text(inst.to_text()) == inst
+
+    def test_text_missing_client_line_rejected(self):
+        # The newline ending client 2's line is not a third, vacuous client.
+        with pytest.raises(InstanceError, match="expected 3 client lines, got 2"):
+            PliableInstance.from_text("3 3\n0\n1\n")
 
     def test_text_header_required(self):
         with pytest.raises(InstanceError):

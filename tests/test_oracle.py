@@ -10,7 +10,6 @@ from plicode.fields import FMatrix, essential_columns, rank_generic
 from plicode.instances import all_pairs_instance, build_instance, random_instance
 from plicode.oracle import (
     BudgetError,
-    _vector_options,
     count_pairwise_independent,
     enumerate_rref_bases,
     gaussian_binomial,
@@ -33,7 +32,7 @@ def reference_optimal_code_length(instance, q, max_K):
         for i in instance.non_vacuous_clients():
             req = sorted(instance.requirements[i])
             finish[req[-1]].append(req)
-        options = _vector_options(q, k)
+        options = list(itertools.product(range(q), repeat=k))
         assigned = np.zeros((k, m), dtype=np.int64)
 
         def dfs(col):

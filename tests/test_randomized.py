@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from plicode import randomized
 from plicode.bingreedy import bingreedy
 from plicode.decoding import decodable_messages, is_valid_code
 from plicode.instances import PliableInstance, build_instance, random_instance
@@ -223,10 +224,23 @@ class TestRandomizedCode:
                 [(b.s, b.clients, b.rows) for b in report.bins],
             ) == reference_cumulative_code(inst, seed)
 
-    def test_row_cap_error(self):
+    def test_row_cap_error(self, monkeypatch):
         inst = build_instance(2, [{0, 1} for _ in range(4)])
+        monkeypatch.setattr(randomized, "MAX_ROWS_PER_BIN", 1)
         with pytest.raises(RandomizedCapError, match="bin"):
-            randomized_code(inst, seed=1, max_rows_per_bin=1)
+            randomized_code(inst, seed=1)
+
+    @pytest.mark.parametrize("seed", [True, 1.9, -1, [1, 2.0], [1, True], (1, -2)])
+    def test_seed_never_truncated(self, seed):
+        # Not read as seed 1 (or [1, 2], [1, 1]).
+        inst = build_instance(2, [{0}, {1}])
+        with pytest.raises(ValueError, match="seed entries"):
+            randomized_code(inst, seed=seed)
+
+    def test_seed_checked_without_bins(self):
+        inst = build_instance(2, [set(), set()])
+        with pytest.raises(ValueError, match="seed entries"):
+            randomized_code(inst, seed=1.5)
 
     def test_unknown_stopping_rule(self):
         inst = build_instance(1, [{0}])

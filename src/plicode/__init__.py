@@ -25,7 +25,6 @@ from .instances import (
     all_pairs_instance,
     build_instance,
     instance_hash,
-    neighbors,
     random_instance,
 )
 from .oracle import (
@@ -60,7 +59,6 @@ __all__ = [
     "is_valid_code",
     "min_field_for_length2",
     "minrank_fitted",
-    "neighbors",
     "optimal_code_length",
     "plan_bins",
     "random_instance",

@@ -4,7 +4,9 @@ A client can uniquely decode message j iff column a_j lies outside the
 span of the other columns indexed by its requirement set. Over F_2 the
 whole-code checks pack the code once and run the bit-packed kernel
 (fields.gf2_essential) per client; over q > 2, and for a single client,
-they go through fields.essential_columns.
+they go through fields.essential_columns. The whole-code checks read each
+R_i as a slice of the instance's client-major view; the single-client
+readers read the client's adjacency row and build no view.
 """
 
 from __future__ import annotations
@@ -58,14 +60,20 @@ def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[
     """(i, smallest message client i decodes, or None) for each non-vacuous client, in order."""
     _check_shape(mat, instance)
     q = mat.field.q
-    words = gf2_column_words(mat.entries) if q == 2 else None
-    for i, req in enumerate(instance.required):
-        if not req:
+    indptr, indices = instance.messages_by_client
+    bounds, cols = indptr.tolist(), indices.tolist()
+    if q == 2:
+        # The packed columns laid out edge by edge: R_i's words are one slice.
+        words = gf2_column_words(mat.entries)
+        edge_words = [words[j] for j in cols]
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a == b:
             continue
-        if words is not None:
-            ess = gf2_essential([words[j] for j in req])
-            yield i, req[(ess & -ess).bit_length() - 1] if ess else None
+        if q == 2:
+            ess = gf2_essential(edge_words[a:b])
+            yield i, cols[a + (ess & -ess).bit_length() - 1] if ess else None
         else:
+            req = cols[a:b]
             hit = np.flatnonzero(essential_columns(mat.entries[:, req], q))
             yield i, req[hit[0]] if hit.size else None
 

@@ -30,9 +30,10 @@ class PliableInstance:
     is in R_i. It must be a 2-D bool array; it is never cast, is copied only
     if it is a view, and is made read-only. Three views are derived from it
     once each, on first use: `clients_by_message` (message-major, for the
-    encoders), `required[i]` (R_i in increasing order, for sweeps over every
-    client) and `requirements[i]` (a frozenset). Readers of one client read
-    its adjacency row instead. S_i = {0..m-1} \\ R_i is never stored.
+    encoders), `messages_by_client` (client-major, for sweeps over every
+    client and the randomized encoder's nearly satisfied bins) and
+    `requirements[i]` (a frozenset). Readers of one client read its
+    adjacency row instead. S_i = {0..m-1} \\ R_i is never stored.
     Clients with an empty R_i are kept but vacuously satisfied and excluded
     from every active set. Equality compares shape and contents; instances
     are not hashable.
@@ -68,33 +69,31 @@ class PliableInstance:
         indices has the smallest unsigned dtype that holds n - 1 (2 bytes per
         edge up to n = 65536).
         """
-        n, m = self.adjacency.shape
-        flat = np.flatnonzero(self.adjacency.T)
-        indptr = np.searchsorted(flat, np.arange(m + 1) * n)
-        indices = (flat % n).astype(np.min_scalar_type(max(n - 1, 0)))
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
+        return _compressed_rows(self.adjacency.T)
 
     @functools.cached_property
-    def required(self) -> tuple[tuple[int, ...], ...]:
-        """Per client, the indices of R_i in increasing order."""
-        n, m = self.adjacency.shape
-        flat = np.flatnonzero(self.adjacency)
-        ends = np.searchsorted(flat, np.arange(1, n + 1) * m).tolist()
-        cols = (flat % m).tolist()
-        return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+    def messages_by_client(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR view (indptr, indices): R_i is
+        indices[indptr[i]:indptr[i + 1]], in increasing order.
+
+        indices has the smallest unsigned dtype that holds m - 1.
+        """
+        return _compressed_rows(self.adjacency)
+
+    def requirement_lists(self) -> list[list[int]]:
+        """Per client, R_i in increasing order: Python lists cut from the CSR
+        view on each call, for sweeps over every client."""
+        indptr, indices = self.messages_by_client
+        bounds, cols = indptr.tolist(), indices.tolist()
+        return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @functools.cached_property
     def requirements(self) -> tuple[frozenset[int], ...]:
         """Per client, R_i as a frozenset."""
-        return tuple(frozenset(r) for r in self.required)
+        return tuple(frozenset(r) for r in self.requirement_lists())
 
     def side_info(self, i: int) -> frozenset[int]:
         return frozenset(np.flatnonzero(~self.adjacency[i]).tolist())
-
-    def is_vacuous(self, i: int) -> bool:
-        return not self.adjacency[i].any()
 
     def non_vacuous_clients(self) -> list[int]:
         return np.flatnonzero(self.adjacency.any(axis=1)).tolist()
@@ -104,7 +103,7 @@ class PliableInstance:
         return set(self.non_vacuous_clients())
 
     def to_json(self) -> dict:
-        return {"m": self.m, "requirements": [list(r) for r in self.required]}
+        return {"m": self.m, "requirements": self.requirement_lists()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PliableInstance":
@@ -113,7 +112,7 @@ class PliableInstance:
     def to_text(self) -> str:
         """Line format: "m n" header, then one line of required indices per client."""
         lines = [f"{self.m} {self.n}"]
-        lines += [" ".join(map(str, r)) for r in self.required]
+        lines += [" ".join(map(str, r)) for r in self.requirement_lists()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -140,6 +139,19 @@ class PliableInstance:
         except ValueError as exc:
             raise InstanceError(f"client lines must hold integer indices: {exc}") from exc
         return build_instance(m, reqs)
+
+
+def _compressed_rows(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices), read-only, of a 2-D bool array: the set columns of
+    row r are indices[indptr[r]:indptr[r + 1]], in increasing order, stored in
+    the smallest unsigned dtype that holds the largest column index."""
+    rows, cols = adj.shape
+    flat = np.flatnonzero(adj)
+    indptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
+    indices = (flat % cols).astype(np.min_scalar_type(max(cols - 1, 0)))
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
 
 
 def build_instance(m: int, requirements: Sequence[Iterable[int]]) -> PliableInstance:
@@ -201,14 +213,6 @@ def all_pairs_instance(m: int) -> PliableInstance:
     if m < 2:
         raise InstanceError(f"all-pairs family needs m >= 2, got {m}")
     return build_instance(m, [(j,) for j in range(m)] + list(itertools.combinations(range(m), 2)))
-
-
-def neighbors(instance: PliableInstance, j: int) -> frozenset[int]:
-    """Clients requiring message j."""
-    if not 0 <= j < instance.m:
-        raise InstanceError(f"message index {j} out of range [0, {instance.m})")
-    indptr, indices = instance.clients_by_message
-    return frozenset(indices[indptr[j] : indptr[j + 1]].tolist())
 
 
 def adjacency_matrix(instance: PliableInstance) -> np.ndarray:

@@ -62,8 +62,8 @@ def _search_fixed_length(
     once per search.
     """
     m = instance.m
-    finish: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for req in filter(None, instance.required):
+    finish: list[list[list[int]]] = [[] for _ in range(m)]
+    for req in filter(None, instance.requirement_lists()):
         finish[req[-1]].append(req)
     # Lexicographic by integer value, first row most significant.
     table = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64).T

@@ -13,7 +13,7 @@ from plicode.decoding import (
     satisfied_set,
 )
 from plicode.fields import MAX_ORDER, FieldError, FieldSpec, FMatrix, in_span
-from plicode.instances import build_instance, random_instance
+from plicode.instances import PliableInstance, build_instance, random_instance
 from plicode.randomized import randomized_code
 
 
@@ -155,18 +155,20 @@ class TestDecodeValue:
             decode_value(demo_matrix, demo_instance, 3, x, {2: 0.5})
 
 
-def test_single_client_readers_leave_required_unbuilt():
-    # The encoders and every single-client reader go through the message-major
-    # view or the client's row; only sweeps over every client build `required`.
-    inst = random_instance(60, 15, 0.3, seed=8)
+def test_single_client_readers_build_no_client_view():
+    # Every single-client reader goes through the client's adjacency row;
+    # only sweeps over every client and the encoders build the client-major
+    # view, so decoding on a fresh instance leaves it unbuilt.
+    encoded_on = random_instance(60, 15, 0.3, seed=8)
+    inst = PliableInstance(encoded_on.adjacency.copy())
     b = np.random.default_rng(1).integers(0, 2, size=inst.m)
-    for code, _ in (bingreedy(inst), randomized_code(inst, seed=2)):
+    for code, _ in (bingreedy(encoded_on), randomized_code(encoded_on, seed=2)):
         x = code.mul_vector(b)
         for i in inst.non_vacuous_clients():
-            assert not inst.is_vacuous(i)
+            assert inst.adjacency[i].any()
             j, value = decode_value(code, inst, i, x, {t: int(b[t]) for t in inst.side_info(i)})
             assert j == min(decodable_messages(code, inst, i)) and value == b[j]
-    assert "required" not in inst.__dict__
+    assert "messages_by_client" not in inst.__dict__
     assert "requirements" not in inst.__dict__
 
 
@@ -209,7 +211,7 @@ class TestEndToEnd:
             b = rng.integers(0, 2, size=3)
             x = matrix.mul_vector(b)
             for i in range(inst.n):
-                if inst.is_vacuous(i):
+                if not inst.adjacency[i].any():
                     continue
                 side = {j: int(b[j]) for j in inst.side_info(i)}
                 dec = decodable_messages(matrix, inst, i)

@@ -12,9 +12,14 @@ from plicode.instances import (
     all_pairs_instance,
     build_instance,
     instance_hash,
-    neighbors,
     random_instance,
 )
+
+
+def neighbors(instance, j):
+    """Clients requiring message j, read off the message-major view."""
+    indptr, indices = instance.clients_by_message
+    return frozenset(indices[indptr[j] : indptr[j + 1]].tolist())
 
 
 class TestBuildInstance:
@@ -41,7 +46,7 @@ class TestBuildInstance:
 
     def test_vacuous_clients_flagged(self):
         inst = build_instance(2, [set(), {0}])
-        assert inst.is_vacuous(0) and not inst.is_vacuous(1)
+        assert not inst.adjacency[0].any() and inst.adjacency[1].any()
         assert inst.non_vacuous_clients() == [1]
         assert inst.initial_active() == {1}
 
@@ -86,7 +91,7 @@ class TestConstructor:
         a = random_instance(40, 9, 0.3, seed=7)
         b = build_instance(9, [sorted(r, reverse=True) for r in a.requirements])
         assert a == b and instance_hash(a) == instance_hash(b)
-        c = build_instance(9, [*b.required[:-1], [0, 1, 2]])
+        c = build_instance(9, [*b.requirement_lists()[:-1], [0, 1, 2]])
         assert a != c and instance_hash(a) != instance_hash(c)
 
     def test_not_hashable(self, demo_instance):
@@ -197,10 +202,6 @@ class TestNeighbors:
         inst = random_instance(5, 3, 1.0, seed=0)
         assert neighbors(inst, 1) == frozenset(range(5))
 
-    def test_bad_index(self, demo_instance):
-        with pytest.raises(InstanceError):
-            neighbors(demo_instance, 3)
-
 
 class TestAdjacency:
     def test_cached_and_read_only(self, demo_instance):
@@ -239,7 +240,7 @@ class TestAdjacency:
     )
     def test_requirements_match_rows(self, inst):
         rows = [np.flatnonzero(row).tolist() for row in adjacency_matrix(inst)]
-        assert [list(r) for r in inst.required] == rows
+        assert inst.requirement_lists() == rows
         assert list(inst.requirements) == [frozenset(r) for r in rows]
 
 
@@ -277,6 +278,44 @@ class TestClientsByMessage:
         inst = random_instance(30, 8, 0.3, seed=4)
         view = inst.clients_by_message
         assert inst.clients_by_message is view
+        for arr in view:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+class TestMessagesByClient:
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            random_instance(300, 40, 0.3, seed=2),
+            all_pairs_instance(6),
+            build_instance(4, [set(), set(), set()]),
+            random_instance(20, 1, 0.5, seed=5),
+            PliableInstance(np.zeros((0, 4), dtype=bool)),
+        ],
+        ids=["random", "all-pairs", "all-vacuous", "m1", "n0"],
+    )
+    def test_matches_per_row_flatnonzero(self, inst):
+        indptr, indices = inst.messages_by_client
+        assert indices.dtype == np.min_scalar_type(inst.m - 1)
+        assert indptr.shape == (inst.n + 1,) and indptr[0] == 0
+        for i in range(inst.n):
+            row = indices[indptr[i] : indptr[i + 1]]
+            assert row.tolist() == np.flatnonzero(inst.adjacency[i]).tolist()
+        assert indptr[-1] == indices.size == inst.clients_by_message[1].size
+
+    @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (65536, np.uint16), (65537, np.uint32)])
+    def test_index_dtype_holds_last_message(self, m, dtype):
+        adj = np.zeros((2, m), dtype=bool)
+        adj[1, [0, m - 1]] = True
+        indptr, indices = PliableInstance(adj).messages_by_client
+        assert indices.dtype == dtype
+        assert indptr.tolist() == [0, 0, 2] and indices.tolist() == [0, m - 1]
+
+    def test_cached_and_read_only(self):
+        inst = random_instance(30, 8, 0.3, seed=4)
+        view = inst.messages_by_client
+        assert inst.messages_by_client is view
         for arr in view:
             with pytest.raises(ValueError):
                 arr[0] = 1

@@ -88,33 +88,75 @@ def test_exactly_one_matches_dense_reference(n, p, client_side, message_side):
         assert [(b.s, b.clients, b.rows) for b in report.bins] == bins
 
 
+def bin_sets(plan):
+    """The plan's bins as {s: set of clients}; each bin is an increasing array."""
+    for clients in plan.bins.values():
+        assert np.all(np.diff(clients) > 0)
+    return {s: set(c.tolist()) for s, c in plan.bins.items()}
+
+
+@pytest.mark.parametrize("client_side", [True, False], ids=["client-side", "message-side"])
+def test_either_side_alone_gives_the_default_code(monkeypatch, client_side):
+    # Every bin counted from one side throughout, never switching.
+    inst = random_instance(3000, round(3000**0.75), 0.01, seed=[3000, 10])
+    seeds = (1, [2, 3])
+    default = [randomized_code(inst, seed=seed) for seed in seeds]
+    monkeypatch.setattr(randomized, "_from_clients", lambda *args: client_side)
+    for seed, (code, report) in zip(seeds, default):
+        matrix, got = randomized_code(inst, seed=seed)
+        assert matrix.equals(code) and got == report
+        rows, bins = reference_exactly_one_code(inst, seed)
+        assert matrix.entries.tolist() == rows
+        assert [(b.s, b.clients, b.rows) for b in got.bins] == bins
+
+
+def test_message_side_bins_move_to_the_client_side(monkeypatch):
+    # In the 3000-0.01 case bins 9 and 10 start on the message side; each is
+    # asked again on every row and moves once its unsatisfied clients are few.
+    inst = random_instance(3000, round(3000**0.75), 0.01, seed=[3000, 10])
+    plan = plan_bins(inst)
+    answers: dict[float, list[bool]] = {}
+
+    def spy(bin_edges, p, edges):
+        answers.setdefault(p, []).append(_from_clients(bin_edges, p, edges))
+        return answers[p][-1]
+
+    monkeypatch.setattr(randomized, "_from_clients", spy)
+    matrix, report = randomized_code(inst, seed=1)
+    rows = {b.s: b.rows for b in report.bins}
+    for s in (9, 10):
+        seen = answers[plan.probs[s]]
+        # False on every row until the last call, which moves the bin.
+        assert seen[:-1] == [False] * (len(seen) - 1) and seen[-1] is True
+        assert 1 < len(seen) < rows[s]
+    assert matrix.entries.tolist() == reference_exactly_one_code(inst, 1)[0]
+
+
 class TestPlanBins:
     def test_band_edges(self):
         inst = build_instance(
             8, [set(range(8))] + [{0}] + [set() for _ in range(6)]
         )
-        plan = plan_bins(inst)
-        assert 0 in plan.bins[1]  # degree 8 with n=8: (4, 8]
-        assert 1 in plan.bins[4]  # degree 1 with n=8: (0.5, 1]
+        bins = bin_sets(plan_bins(inst))
+        assert 0 in bins[1]  # degree 8 with n=8: (4, 8]
+        assert 1 in bins[4]  # degree 1 with n=8: (0.5, 1]
 
     def test_same_degree_single_bin(self):
         inst = build_instance(4, [{0, 1} for _ in range(10)])
-        plan = plan_bins(inst)
-        nonempty = [s for s, c in plan.bins.items() if c]
+        nonempty = [s for s, c in bin_sets(plan_bins(inst)).items() if c]
         assert len(nonempty) == 1
 
     def test_degree_30_of_100(self):
         reqs = [set(range(30))] + [{0} for _ in range(99)]
         inst = build_instance(30, reqs)
         plan = plan_bins(inst)
-        assert 0 in plan.bins[2]  # 25 < 30 <= 50
+        assert 0 in bin_sets(plan)[2]  # 25 < 30 <= 50
         assert plan.probs[2] == pytest.approx(4 / 100)
 
     def test_bins_partition_nonvacuous(self):
         inst = random_instance(50, 10, 0.3, seed=1)
-        plan = plan_bins(inst)
         seen: set[int] = set()
-        for clients in plan.bins.values():
+        for clients in bin_sets(plan_bins(inst)).values():
             assert not (seen & clients)
             seen |= clients
         assert seen == set(inst.non_vacuous_clients())
@@ -123,7 +165,8 @@ class TestPlanBins:
         inst = random_instance(300, 40, 0.1, seed=2)
         plan = plan_bins(inst)
         assert plan.edges == {
-            s: sum(len(inst.requirements[i]) for i in clients) for s, clients in plan.bins.items()
+            s: sum(len(inst.requirements[i]) for i in clients)
+            for s, clients in bin_sets(plan).items()
         }
 
     def test_probabilities_clamped(self):
@@ -140,7 +183,7 @@ class TestPlanBins:
                 for i, d in enumerate(deg.tolist()):
                     if d:
                         expected.setdefault(_band_index(d, n), set()).add(i)
-                assert plan_bins(inst).bins == expected, n
+                assert bin_sets(plan_bins(inst)) == expected, n
 
 
 class TestRandomizedCode:

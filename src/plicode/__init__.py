@@ -34,11 +34,10 @@ from .oracle import (
     minrank_fitted,
     optimal_code_length,
 )
-from .randomized import BinPlan, plan_bins, randomized_code
+from .randomized import plan_bins, randomized_code
 from .reports import RunReport
 
 __all__ = [
-    "BinPlan",
     "ClientStatus",
     "ExperimentConfig",
     "FMatrix",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .bingreedy import bingreedy
 from .decoding import is_valid_code
+from .fields import is_integer, is_real
 from .instances import instance_hash, random_instance
 from .randomized import randomized_code
 
@@ -29,7 +30,9 @@ class ExperimentConfig:
     """Parameters of one comparison experiment.
 
     m_fixed sets m for every n; None means m = round(n^0.75). timing=False
-    records runtime_ms as 0 so reruns are byte-identical.
+    records runtime_ms as 0 so reruns are byte-identical. The n values,
+    instances, base_seed and m_fixed must be integers (a bool or a float is
+    rejected, never truncated), and p must be a real number, not a bool.
     """
 
     n_values: tuple[int, ...] = (100, 316, 1000)
@@ -41,16 +44,16 @@ class ExperimentConfig:
     timing: bool = True
 
     def __post_init__(self):
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError(f"n values must be >= 1, got {self.n_values}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.instances < 1:
-            raise ValueError(f"instances must be >= 1, got {self.instances}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.m_fixed is not None and self.m_fixed < 1:
-            raise ValueError(f"m_fixed must be >= 1, got {self.m_fixed}")
+        if not self.n_values or any(not is_integer(n) or n < 1 for n in self.n_values):
+            raise ValueError(f"n values must be >= 1 and integers, got {self.n_values}")
+        if not is_real(self.p) or not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p must be a number in [0, 1], got {self.p!r}")
+        if not is_integer(self.instances) or self.instances < 1:
+            raise ValueError(f"instances must be >= 1 and an integer, got {self.instances!r}")
+        if not is_integer(self.base_seed) or self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0 and an integer, got {self.base_seed!r}")
+        if self.m_fixed is not None and (not is_integer(self.m_fixed) or self.m_fixed < 1):
+            raise ValueError(f"m_fixed must be >= 1 and an integer, got {self.m_fixed!r}")
         for alg in self.algorithms:
             if alg not in ("bingreedy", "randomized"):
                 raise ValueError(f"unknown algorithm {alg!r}")

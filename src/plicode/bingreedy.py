@@ -6,6 +6,8 @@ them into degree bands by reports.dyadic_band, greedily assigns one of the
 three nonzero 2-bit coding vectors per message (greedy_assign) so that two
 transmissions per group satisfy at least a third of the group's effective
 clients, writes the group's two rows and records the group and the round.
+sort_and_group returns the order, each message's effective clients and
+the groups; greedy_assign returns the vectors and the SAT clients.
 Rounds repeat until every client is satisfied; reports.encoded stacks the
 rows of all rounds.
 
@@ -32,28 +34,25 @@ class EncoderStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class SortingResult:
-    """Greedy message order with effective clients/degrees and dyadic groups.
+    """Greedy message order, each message's effective clients, and dyadic groups.
 
-    groups[s-1] holds the messages whose effective degree d satisfies
-    threshold_n / 2^s < d <= threshold_n / 2^(s-1). Messages whose
-    effective degree is 0 appear in neither the order nor any group.
+    groups[s-1] holds the messages whose effective degree d = |eff_clients|
+    satisfies n_thr / 2^s < d <= n_thr / 2^(s-1), n_thr being sort_and_group's
+    threshold_n (|active| by default). Messages whose effective degree is 0
+    appear in neither the order nor any group.
     """
 
     order: list[int]
     eff_clients: list[frozenset[int]]
-    eff_degree: list[int]
     groups: list[list[int]]
-    threshold_n: int
 
 
 @dataclass
 class GroupCode:
-    """Outcome of the greedy 2-row coding for one group."""
+    """One coding vector per group message, in group order, and the group's SAT clients."""
 
-    messages: list[int]
     vectors: list[tuple[int, int]]
     sat: set[int]
-    unsat: set[int]
 
 
 def sort_and_group(
@@ -81,7 +80,6 @@ def sort_and_group(
 
     order: list[int] = []
     eff_clients: list[frozenset[int]] = []
-    eff_degree: list[int] = []
     # Removing j's remaining clients drops deg[j] to 0, so a chosen message
     # is never the argmax again while any degree is positive.
     while True:
@@ -92,16 +90,15 @@ def sort_and_group(
         clients = col[remaining[col]]
         order.append(j)
         eff_clients.append(frozenset(clients.tolist()))
-        eff_degree.append(int(clients.size))
         remaining[clients] = False
         # No column sum exceeds n, so the narrowest type holding n is exact.
         deg -= adj[clients].sum(axis=0, dtype=acc)
 
     smax = max(1, n_thr.bit_length())
     groups: list[list[int]] = [[] for _ in range(smax)]
-    for j, s in zip(order, dyadic_band(eff_degree, n_thr).tolist()):
+    for j, s in zip(order, dyadic_band([len(c) for c in eff_clients], n_thr).tolist()):
         groups[s - 1].append(j)
-    return SortingResult(order, eff_clients, eff_degree, groups, n_thr)
+    return SortingResult(order, eff_clients, groups)
 
 
 def _counts_ok(counts: list[int]) -> bool:
@@ -133,7 +130,7 @@ def greedy_assign(
 
     Visits messages in order; for each, evaluates the three candidate
     vectors against the currently satisfied clients connected to the
-    message, keeps the maximizer, demotes newly broken clients to UNSAT,
+    message, keeps the maximizer, drops newly broken clients from SAT,
     and promotes the message's effective clients to SAT.
     """
     if not group:
@@ -141,7 +138,6 @@ def greedy_assign(
     indptr, indices = instance.clients_by_message
     bounds = indptr.tolist()
     sat: dict[int, int] = {}  # client -> state
-    unsat: set[int] = set()
     vectors: list[tuple[int, int]] = []
     for j in group:
         affected = [i for i in indices[bounds[j] : bounds[j + 1]].tolist() if i in sat]
@@ -155,12 +151,11 @@ def greedy_assign(
                 sat[i] = st
             else:
                 del sat[i]
-                unsat.add(i)
         first = nxt[0]
         for i in eff[j]:
             sat[i] = first
         vectors.append(CODING_VECTORS[best_t])
-    return GroupCode(messages=list(group), vectors=vectors, sat=set(sat), unsat=unsat)
+    return GroupCode(vectors=vectors, sat=set(sat))
 
 
 def bingreedy(
@@ -175,7 +170,7 @@ def bingreedy(
     keeps its all-zero rows; the report carries both row counts.
     """
     thr = instance.n if use_original_n else None
-    active = instance.initial_active()
+    active = set(instance.non_vacuous_clients())
     all_rows: list[np.ndarray] = []
     round_records: list[RoundRecord] = []
     while active:
@@ -188,8 +183,10 @@ def bingreedy(
         satisfied: set[int] = set()
         for g, (s, group) in enumerate(bands):
             gc = greedy_assign(instance, group, eff_by_msg)
-            rows[2 * g : 2 * g + 2, gc.messages] = np.array(gc.vectors).T
-            groups.append(GroupRecord(s, gc.messages, len(gc.sat), len(gc.sat) + len(gc.unsat)))
+            rows[2 * g : 2 * g + 2, group] = np.array(gc.vectors).T
+            # The round's effective-client sets are disjoint, so this is |SAT| + |UNSAT|.
+            eff = sum(len(eff_by_msg[j]) for j in group)
+            groups.append(GroupRecord(s, group, len(gc.sat), eff))
             satisfied |= gc.sat
         if not satisfied:
             raise EncoderStallError(

@@ -147,9 +147,8 @@ def cmd_verify(args) -> int:
     if not matrix.n_rows:
         # A zero-row matrix file carries no width; it has the instance's.
         matrix = FMatrix.zeros(0, instance.m, matrix.field.q)
-    active = instance.initial_active()
-    satisfied, report = satisfied_set(matrix, instance, active)
-    valid = satisfied == active
+    satisfied, report = satisfied_set(matrix, instance)
+    valid = len(satisfied) == len(instance.non_vacuous_clients())
     if args.report_out:
         _write_json(report_to_json(report), args.report_out)
     print("valid" if valid else "invalid")

@@ -6,13 +6,14 @@ whole-code checks pack the code once and run the bit-packed kernel
 (fields.gf2_essential) per client; over q > 2, and for a single client,
 they go through fields.essential_columns. The whole-code checks read each
 R_i as a slice of the instance's client-major view; the single-client
-readers read the client's adjacency row and build no view.
+readers read the client's adjacency row and build no view. satisfied_set
+takes only the code and the instance: every non-vacuous client is judged.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -78,17 +79,14 @@ def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[
             yield i, req[hit[0]] if hit.size else None
 
 
-def satisfied_set(
-    mat: FMatrix, instance: PliableInstance, active: Iterable[int]
-) -> tuple[set[int], list[ClientStatus]]:
-    """Clients in the active set with a nonempty decodable set, plus a full report.
+def satisfied_set(mat: FMatrix, instance: PliableInstance) -> tuple[set[int], list[ClientStatus]]:
+    """The clients with a nonempty decodable set, plus a full report.
 
     The delivered message j* is the smallest decodable index, so reruns are
     reproducible. The report covers every client of the instance.
     """
-    active = set(active)
     first = dict(_first_decodable(mat, instance))
-    satisfied = {i for i, j in first.items() if j is not None and i in active}
+    satisfied = {i for i, j in first.items() if j is not None}
     report: list[ClientStatus] = []
     for i in range(instance.n):
         if i not in first:

@@ -12,6 +12,7 @@ an empty set of vectors is {0}.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +42,11 @@ class InconsistentSystemError(ValueError):
 def is_integer(x) -> bool:
     """True for Python and numpy integers; False for bool, float, str and the rest."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """True for Python and numpy ints and floats; False for bools (numpy's too), str and the rest."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _require_integers(a: np.ndarray, what: str) -> None:

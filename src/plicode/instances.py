@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import is_integer
+from .fields import is_integer, is_real
 
 
 class InstanceError(ValueError):
@@ -96,11 +96,8 @@ class PliableInstance:
         return frozenset(np.flatnonzero(~self.adjacency[i]).tolist())
 
     def non_vacuous_clients(self) -> list[int]:
+        """The clients with a nonempty R_i, increasing: each encoder's active set at start."""
         return np.flatnonzero(self.adjacency.any(axis=1)).tolist()
-
-    def initial_active(self) -> set[int]:
-        """Active set at encoder start: every client with a nonempty requirement set."""
-        return set(self.non_vacuous_clients())
 
     def to_json(self) -> dict:
         return {"m": self.m, "requirements": self.requirement_lists()}
@@ -190,13 +187,14 @@ def seed_entries(seed, error: type[ValueError]) -> list[int]:
 def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
     """Each (client, message) edge present independently with probability p.
 
-    seed may be an int or a sequence of ints, each >= 0; identical
-    (n, m, p, seed) always yields the identical instance.
+    n and m must be integers and p a real number (a bool is neither); seed
+    may be an int or a sequence of ints, each >= 0. Identical (n, m, p, seed)
+    always yields the identical instance.
     """
-    if n < 1 or m < 1:
-        raise InstanceError(f"need n, m >= 1, got n={n}, m={m}")
-    if not 0.0 <= p <= 1.0:
-        raise InstanceError(f"edge probability must be in [0, 1], got {p}")
+    if not (is_integer(n) and is_integer(m)) or n < 1 or m < 1:
+        raise InstanceError(f"need integers n, m >= 1, got n={n!r}, m={m!r}")
+    if not is_real(p) or not 0.0 <= p <= 1.0:
+        raise InstanceError(f"edge probability must be a number in [0, 1], got {p!r}")
     rng = np.random.default_rng(seed_entries(seed, InstanceError))
     # Row blocks of about 2^16 draws, taken in order from one generator, give
     # the bits of a single rng.random((n, m)) < p without its n x m floats.

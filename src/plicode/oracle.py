@@ -7,7 +7,8 @@ client-complete pruning (each client verdict is memoised on the options at
 its required columns), while minrank_fitted enumerates low-dimensional
 subspaces through canonical reduced-echelon bases and tests all clients
 against each one at once. Witnesses are always re-verified through the
-decodability engine before being returned.
+decodability engine before being returned. MAX_MATRICES and MAX_SUBSPACES
+bound the two enumerations.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding import is_valid_code
-from .fields import FieldSpec, FMatrix, essential_columns
+from .fields import FieldSpec, FMatrix, essential_columns, is_integer
 from .instances import PliableInstance, all_pairs_instance
 
 
+MAX_MATRICES = 10**9  # optimal_code_length's budget on q^(K * m) per length level
+MAX_SUBSPACES = 10**6  # minrank_fitted's budget on subspaces of dimension 1..max_r
+
+
 class BudgetError(RuntimeError):
-    """The requested search exceeds the configured enumeration budget."""
+    """The requested search exceeds its enumeration budget."""
 
 
 class OracleError(RuntimeError):
@@ -93,27 +98,23 @@ def _search_fixed_length(
     return table[:, choice]
 
 
-def optimal_code_length(
-    instance: PliableInstance,
-    q: int,
-    max_K: int,
-    max_matrices: int = 10**9,
-) -> SearchResult:
+def optimal_code_length(instance: PliableInstance, q: int, max_K: int) -> SearchResult:
     """Smallest K <= max_K admitting a valid K x m code over F_q.
 
     Raises BudgetError when the search must enter a length level whose
-    nominal space q^(K * m) exceeds max_matrices without having found a
+    nominal space q^(K * m) exceeds MAX_MATRICES without having found a
     code yet. value is None when no code of length <= max_K exists.
     """
+    _check_cap("max_K", max_K)
     spec = FieldSpec(q)
     t0 = time.perf_counter()
     if not instance.non_vacuous_clients():
         return SearchResult(0, FMatrix.zeros(0, instance.m, q), 0, _ms(t0))
     counter = [0]
     for k in range(1, max_K + 1):
-        if q ** (k * instance.m) > max_matrices:
+        if q ** (k * instance.m) > MAX_MATRICES:
             raise BudgetError(
-                f"search space q^(K*m) = {q}^{k * instance.m} exceeds budget {max_matrices}"
+                f"search space q^(K*m) = {q}^{k * instance.m} exceeds budget {MAX_MATRICES}"
             )
         found = _search_fixed_length(instance, q, k, counter)
         if found is not None:
@@ -155,23 +156,21 @@ def enumerate_rref_bases(m: int, r: int, q: int):
             yield basis
 
 
-def minrank_fitted(
-    instance: PliableInstance,
-    q: int,
-    max_r: int,
-    max_subspaces: int = 10**6,
-) -> SearchResult:
-    """Smallest r such that some r-dimensional subspace of F_q^m contains,
-    for every non-vacuous client, a vector with exactly one 1 inside R_i and
-    zeros on the rest of R_i (coordinates outside R_i are unconstrained)."""
+def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResult:
+    """Smallest r <= max_r such that some r-dimensional subspace of F_q^m
+    contains, for every non-vacuous client, a vector with exactly one 1
+    inside R_i and zeros on the rest of R_i (coordinates outside R_i are
+    unconstrained). Raises BudgetError when more than MAX_SUBSPACES
+    subspaces have dimension 1..max_r."""
+    _check_cap("max_r", max_r)
     spec = FieldSpec(q)
     t0 = time.perf_counter()
     nonvac = instance.non_vacuous_clients()
     if not nonvac:
         return SearchResult(0, FMatrix.zeros(0, instance.m, q), 0, _ms(t0))
     total = sum(gaussian_binomial(instance.m, r, q) for r in range(1, max_r + 1))
-    if total > max_subspaces:
-        raise BudgetError(f"{total} subspaces to enumerate exceeds budget {max_subspaces}")
+    if total > MAX_SUBSPACES:
+        raise BudgetError(f"{total} subspaces to enumerate exceeds budget {MAX_SUBSPACES}")
     # m x clients 0/1 incidence: column c marks client c's required messages.
     incidence = instance.adjacency[nonvac].T.astype(np.int64)
     count = 0
@@ -235,6 +234,12 @@ def count_pairwise_independent(q: int) -> int:
     if count != 2 + (q - 1):
         raise OracleError(f"direction count {count} disagrees with 2+(q-1) for q={q}")
     return count
+
+
+def _check_cap(name: str, value) -> None:
+    # A bool cap would search only length 1, a negative one nothing.
+    if not is_integer(value) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _ms(t0: float) -> float:

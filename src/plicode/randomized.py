@@ -1,26 +1,24 @@
 """Randomized baseline encoder: client bins by degree, random binary rows.
 
 Clients are split into bins by reports.dyadic_band, BinGreedy's band
-rule; each bin receives independent Bernoulli rows (bit probability
-~ 2^s/n, clamped to 1/2) until all its clients are satisfied, and
-reports.encoded stacks the rows of all bins. The default satisfaction
-rule is per-row exactly-one: a row with exactly one 1 inside R_i
-satisfies client i, and that row remains a decoding witness no matter
-which rows follow. Each row's hits are counted from one of two sides:
-from the message side, the message-major slices of the row's support
-(about p_s * |E| edges); from the client side, the edges of the bin's
-unsatisfied clients, gathered from their client-major slices and dropped
-as their clients are satisfied. The side is chosen per row: a bin starts
-on the client side when it holds at most p_s * |E| edges, and a bin
-still on the message side moves, for good, at the first row where its
-unsatisfied clients hold at most that many (see _from_clients). Both
-sides give the same rows. The cumulative span-criterion stopping rule is
-available behind a flag.
+rule, and plan_bins maps each s to its clients; bin s receives
+independent Bernoulli rows (bit probability p_s = 2^s/n, clamped to 1/2)
+until all its clients are satisfied, and reports.encoded stacks the rows
+of all bins. The default satisfaction rule is per-row exactly-one: a row
+with exactly one 1 inside R_i satisfies client i, and that row remains a
+decoding witness no matter which rows follow. Each row's hits are
+counted from one of two sides: from the message side, the message-major
+slices of the row's support (about p_s * |E| edges); from the client
+side, the edges of the bin's unsatisfied clients, gathered from their
+client-major slices and dropped as their clients are satisfied. The side
+is chosen per row: a bin starts on the client side when it holds at most
+p_s * |E| edges, and a bin still on the message side moves, for good, at
+the first row where its unsatisfied clients hold at most that many (see
+_from_clients). Both sides give the same rows. The cumulative span-
+criterion stopping rule is available behind a flag.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,29 +34,13 @@ class RandomizedCapError(RuntimeError):
     """A bin reached MAX_ROWS_PER_BIN rows; signals pathological parameters."""
 
 
-@dataclass(frozen=True)
-class BinPlan:
-    """Client bins by degree band, per-bin bit probabilities and edge counts."""
-
-    bins: dict[int, np.ndarray]  # the clients of bin s, increasing
-    probs: dict[int, float]
-    edges: dict[int, int]  # sum of |R_i| over bin s
-
-
-def plan_bins(instance: PliableInstance) -> BinPlan:
-    """Bin s holds clients with n/2^s < |R_i| <= n/2^(s-1); p_s = min(2^s/n, 1/2)."""
-    n = instance.n
+def plan_bins(instance: PliableInstance) -> dict[int, np.ndarray]:
+    """{s: the clients of bin s, increasing}: bin s holds the clients with
+    n/2^s < |R_i| <= n/2^(s-1); vacuous clients are in no bin."""
     deg = np.diff(instance.messages_by_client[0])
     clients = np.flatnonzero(deg)
-    band = dyadic_band(deg[clients], n)
-    bins = {int(s): clients[band == s] for s in np.unique(band)}
-    probs = {s: min((2**s) / n, 0.5) for s in bins}
-    edges = {s: int(deg[c].sum()) for s, c in bins.items()}
-    return BinPlan(bins=bins, probs=probs, edges=edges)
-
-
-def _seed_stream(seed, s: int) -> list[int]:
-    return seed_entries(seed, ValueError) + [s]
+    band = dyadic_band(deg[clients], instance.n)
+    return {int(s): clients[band == s] for s in np.unique(band)}
 
 
 def _from_clients(bin_edges: int, p: float, edges: int) -> bool:
@@ -98,7 +80,8 @@ def randomized_code(
 ) -> tuple[FMatrix, RunReport]:
     """Draw random F_2 rows per bin until every bin client is satisfied.
 
-    Bins run in increasing s with generator streams derived from (seed, s),
+    Bin s draws bits with probability p_s = min(2^s/n, 1/2) from a generator
+    seeded with the seed's entries followed by s. Bins run in increasing s,
     so the output is deterministic for a given seed regardless of how many
     bins exist. stopping is "exactly_one" (default) or "cumulative" for the
     cumulative span-criterion rule.
@@ -106,7 +89,7 @@ def randomized_code(
     if stopping not in ("exactly_one", "cumulative"):
         raise ValueError(f"unknown stopping rule {stopping!r}")
     seed = seed_entries(seed, ValueError)  # checked even when there are no bins
-    plan = plan_bins(instance)
+    bins = plan_bins(instance)
     indptr, indices = instance.clients_by_message
     bounds = indptr.tolist()  # Python-int slice bounds; numpy scalars cost more per slice
     client_ptr, client_msgs = instance.messages_by_client
@@ -115,15 +98,15 @@ def randomized_code(
     n, m = instance.n, instance.m
     all_rows: list[np.ndarray] = []
     bin_records: list[BinRecord] = []
-    for s in sorted(plan.bins):
-        clients = plan.bins[s]
-        p = plan.probs[s]
-        rng = np.random.default_rng(_seed_stream(seed, s))
+    for s in sorted(bins):
+        clients = bins[s]
+        p = min(2**s / n, 0.5)
+        rng = np.random.default_rng(seed + [s])
         unsat = np.ones(len(clients), dtype=bool)
         rows: list[np.ndarray] = []
         if stopping == "exactly_one":
             degree = client_ptr[clients + 1] - client_ptr[clients]
-            live_edges = plan.edges[s]  # of the unsatisfied clients, while on the message side
+            live_edges = int(degree.sum())  # of the unsatisfied clients, while on the message side
             edge_client = None  # set once the bin moves to the client side
         else:
             # Column j of this bin's rows, packed as words[j] with row r at bit r.

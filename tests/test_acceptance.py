@@ -33,10 +33,10 @@ def _report(number: int, name: str, ok: bool, elapsed: float, limit: float) -> N
 
 def test_criterion_1_demo_sorting_and_single_round(demo_instance):
     t0 = time.perf_counter()
-    sr = sort_and_group(demo_instance, demo_instance.initial_active())
+    sr = sort_and_group(demo_instance, set(demo_instance.non_vacuous_clients()))
     ok = (
         sr.order == [0, 1, 2]
-        and sr.eff_degree == [4, 2, 1]
+        and [len(c) for c in sr.eff_clients] == [4, 2, 1]
         and sr.eff_clients[0] == frozenset({0, 3, 4, 6})
         and sr.groups == [[0], [1], [2]]
     )
@@ -71,7 +71,7 @@ def test_criterion_2_decoding_engine(demo_instance, demo_matrix):
                     continue
             b = rng.integers(0, q, size=m)
             x = matrix.mul_vector(b)
-            sat, _ = satisfied_set(matrix, inst, inst.initial_active())
+            sat, _ = satisfied_set(matrix, inst)
             for i in sat:
                 side = {j: int(b[j]) for j in inst.side_info(i)}
                 j, value = decode_value(matrix, inst, i, x, side)
@@ -88,7 +88,7 @@ def _greedy_suite():
         n = 50 + (450 * idx) // 33
         m = max(2, round(n**0.75))
         inst = random_instance(n, m, p, seed=[77, idx, int(p * 10)])
-        if inst.initial_active():
+        if inst.non_vacuous_clients():
             suite.append(inst)
     return suite
 

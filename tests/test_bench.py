@@ -1,5 +1,6 @@
 """Benchmark harness: fairness, CSV format, determinism, summaries."""
 
+import numpy as np
 import pytest
 
 from plicode.bench import (
@@ -52,6 +53,24 @@ class TestConfig:
     def test_invalid_configs(self, bad):
         with pytest.raises(ValueError):
             small_config(**bad)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("instances", True),  # would run one instance
+            ("instances", 2.0),
+            ("p", True),  # would run p = 1 and write 1 to the CSV
+            ("p", np.True_),
+            ("p", "0.3"),
+            ("n_values", (100.0,)),  # would fail later as "seed entries must be integers"
+            ("n_values", (True,)),
+            ("m_fixed", 4.0),
+            ("base_seed", True),
+        ],
+    )
+    def test_malformed_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field.replace("_values", " values")):
+            small_config(**{field: value})
 
 
 class TestRunBenchmark:

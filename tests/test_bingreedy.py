@@ -51,11 +51,12 @@ def reference_sort_and_group(instance, active, threshold_n=None):
     groups = [[] for _ in range(smax)]
     for j, d in zip(order, eff_degree):
         groups[_band_index(d, n_thr) - 1].append(j)
-    return SortingResult(order, eff_clients, eff_degree, groups, n_thr)
+    return SortingResult(order, eff_clients, groups)
 
 
 def reference_greedy_assign(instance, group, eff):
-    """greedy_assign reading each message's clients from its strided column."""
+    """greedy_assign reading each message's clients from its strided column,
+    plus the clients it demoted to UNSAT."""
     adj = adjacency_matrix(instance)
     sat, unsat, vectors = {}, set(), []
     for j in group:
@@ -78,29 +79,32 @@ def reference_greedy_assign(instance, group, eff):
         for i in eff[j]:
             sat[i] = [int(t == best_t) for t in range(3)]
         vectors.append(CODING_VECTORS[best_t])
-    return GroupCode(messages=list(group), vectors=vectors, sat=set(sat), unsat=unsat)
+    return GroupCode(vectors=vectors, sat=set(sat)), unsat
 
 
 @pytest.mark.parametrize("use_original_n", [False, True], ids=["active-n", "original-n"])
 @pytest.mark.parametrize("n, p", [(200, 0.3), (3000, 0.01), (3000, 0.3)])
 def test_matches_dense_reference(n, p, use_original_n):
     # Every round's SortingResult and GroupCodes, the rows and the report
-    # agree with the column-scanning reference, round by round.
+    # agree with the column-scanning reference, round by round; each group
+    # record's eff is its SAT plus its UNSAT clients.
     inst = random_instance(n, round(n**0.75), p, seed=[n, 9])
     thr = inst.n if use_original_n else None
-    active = inst.initial_active()
-    rows = []
+    active = set(inst.non_vacuous_clients())
+    rows, records = [], []
     while active:
         sr = sort_and_group(inst, active, threshold_n=thr)
         assert sr == reference_sort_and_group(inst, active, threshold_n=thr)
         eff = dict(zip(sr.order, sr.eff_clients))
         satisfied = set()
-        for group in sr.groups:
+        for s, group in enumerate(sr.groups, start=1):
             if group:
                 gc = greedy_assign(inst, group, eff)
-                assert gc == reference_greedy_assign(inst, group, eff)
+                ref, unsat = reference_greedy_assign(inst, group, eff)
+                assert gc == ref
+                records.append((s, group, len(ref.sat), len(ref.sat) + len(unsat)))
                 rows += [[0] * inst.m, [0] * inst.m]
-                for j, (v0, v1) in zip(gc.messages, gc.vectors):
+                for j, (v0, v1) in zip(group, gc.vectors):
                     rows[-2][j], rows[-1][j] = v0, v1
                 satisfied |= gc.sat
         assert satisfied
@@ -108,6 +112,8 @@ def test_matches_dense_reference(n, p, use_original_n):
     matrix, report = bingreedy(inst, use_original_n=use_original_n)
     assert matrix.entries.tolist() == rows
     assert report.rows_raw == len(rows)
+    got = [(g.s, g.messages, g.sat, g.eff) for rnd in report.rounds for g in rnd.groups]
+    assert got == records
 
 
 def test_state_table_matches_counts_ok():
@@ -129,15 +135,15 @@ class TestSortAndGroup:
         # One pick removes 300 clients from both columns' degrees, past what
         # an 8-bit column sum holds.
         inst = build_instance(2, [{0, 1}] * 300)
-        active = inst.initial_active()
+        active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
         ref = reference_sort_and_group(inst, active)
-        assert (sr.eff_degree, sr.order) == (ref.eff_degree, ref.order) == ([300], [0])
+        assert sr == ref
+        assert (sr.order, [len(c) for c in sr.eff_clients]) == ([0], [300])
 
     def test_demo_ordering_and_groups(self, demo_instance):
-        sr = sort_and_group(demo_instance, demo_instance.initial_active())
+        sr = sort_and_group(demo_instance, set(demo_instance.non_vacuous_clients()))
         assert sr.order == [0, 1, 2]
-        assert sr.eff_degree == [4, 2, 1]
         assert sr.eff_clients == [
             frozenset({0, 3, 4, 6}),
             frozenset({1, 5}),
@@ -148,7 +154,7 @@ class TestSortAndGroup:
     def test_single_message_single_client(self):
         inst = build_instance(1, [{0}])
         sr = sort_and_group(inst, {0})
-        assert sr.order == [0] and sr.eff_degree == [1]
+        assert sr.order == [0] and sr.eff_clients == [frozenset({0})]
         assert sr.groups == [[0]]
 
     def test_duplicate_neighbor_sets_drop_second(self):
@@ -159,7 +165,7 @@ class TestSortAndGroup:
 
     def test_effective_clients_partition_active(self):
         inst = random_instance(30, 8, 0.4, seed=2)
-        active = inst.initial_active()
+        active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
         seen = set()
         for eff in sr.eff_clients:
@@ -170,18 +176,18 @@ class TestSortAndGroup:
     def test_degree_band_membership(self):
         # Every grouped message's effective degree lies in its half-open band.
         inst = random_instance(50, 12, 0.3, seed=3)
-        active = inst.initial_active()
+        active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
-        by_msg = dict(zip(sr.order, sr.eff_degree))
+        by_msg = {j: len(eff) for j, eff in zip(sr.order, sr.eff_clients)}
         for s, group in enumerate(sr.groups, start=1):
             for j in group:
-                assert sr.threshold_n / 2**s < by_msg[j] <= sr.threshold_n / 2 ** (s - 1)
+                assert len(active) / 2**s < by_msg[j] <= len(active) / 2 ** (s - 1)
 
     def test_group_neighbor_cap(self):
         # |N[j] within the round's clients, intersected with the group's
         # effective clients| never exceeds the upper band threshold.
         inst = random_instance(60, 15, 0.35, seed=4)
-        active = inst.initial_active()
+        active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
         for s, group in enumerate(sr.groups, start=1):
             group_set = set(group)
@@ -191,13 +197,13 @@ class TestSortAndGroup:
                     eff_union |= eff
             for j in group:
                 hits = sum(1 for i in eff_union if j in inst.requirements[i])
-                assert hits <= sr.threshold_n / 2 ** (s - 1)
+                assert hits <= len(active) / 2 ** (s - 1)
 
     def test_greedy_maximality(self):
         # Replay: at every step the chosen message has at least as many
         # remaining neighbors as any unchosen one.
         inst = random_instance(25, 7, 0.5, seed=5)
-        active = inst.initial_active()
+        active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
         remaining = set(active)
         unpicked = set(range(inst.m))
@@ -209,8 +215,11 @@ class TestSortAndGroup:
             unpicked.discard(j)
 
     def test_original_n_threshold_variant(self, demo_instance):
+        # Messages 1 and 2 have effective degrees 2 and 1 among clients
+        # {1, 2, 5}: bands 2 and 3 against n = 7, bands 1 and 2 against 3.
         sr = sort_and_group(demo_instance, {1, 2, 5}, threshold_n=demo_instance.n)
-        assert sr.threshold_n == 7
+        assert sr.groups == [[], [1], [2]]
+        assert sort_and_group(demo_instance, {1, 2, 5}).groups == [[1], [2]]
 
     def test_empty_active_rejected(self, demo_instance):
         with pytest.raises(ValueError):
@@ -222,12 +231,12 @@ class TestGreedyAssign:
         eff = {0: frozenset({0, 3, 4, 6})}
         gc = greedy_assign(demo_instance, [0], eff)
         assert gc.vectors == [(1, 0)]
-        assert gc.sat == {0, 3, 4, 6} and gc.unsat == set()
+        assert gc.sat == {0, 3, 4, 6}
 
     def test_one_message_all_satisfied(self):
         inst = build_instance(1, [{0}, {0}, {0}])
         gc = greedy_assign(inst, [0], {0: frozenset({0, 1, 2})})
-        assert gc.sat == {0, 1, 2} and gc.unsat == set()
+        assert gc.sat == {0, 1, 2}
 
     def test_avoids_breaking_double_requirement_client(self):
         # Client 0 requires both group messages; repeating (1,0) on the
@@ -235,7 +244,7 @@ class TestGreedyAssign:
         inst = build_instance(2, [{0, 1}, {1}])
         gc = greedy_assign(inst, [0, 1], {0: frozenset({0}), 1: frozenset({1})})
         assert gc.vectors == [(1, 0), (0, 1)]
-        assert gc.sat == {0, 1} and gc.unsat == set()
+        assert gc.sat == {0, 1}
 
     def test_sat_soundness_replay(self):
         # Replay: after every greedy step, every SAT client passes the span
@@ -243,7 +252,7 @@ class TestGreedyAssign:
         # so its state after k steps is its result on the group's first k
         # messages.
         inst = random_instance(40, 10, 0.4, seed=6)
-        active = inst.initial_active()
+        active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
         eff = dict(zip(sr.order, sr.eff_clients))
         spec = FieldSpec(2)
@@ -290,7 +299,7 @@ class TestRunRound:
         # Every round, not only the first, satisfies a third of its active clients.
         for trial in range(30):
             inst = random_instance(60, 12, 0.3, seed=[8, trial])
-            active = len(inst.initial_active())
+            active = len(inst.non_vacuous_clients())
             _, report = bingreedy(inst)
             for rnd in report.rounds:
                 assert rnd.satisfied >= math.ceil(active / 3)
@@ -299,7 +308,7 @@ class TestRunRound:
 
     def test_round_satisfying_no_client_stalls(self, demo_instance, monkeypatch):
         def assign_nothing(instance, group, eff):
-            return GroupCode(list(group), [(1, 0)] * len(group), sat=set(), unsat=set())
+            return GroupCode([(1, 0)] * len(group), sat=set())
 
         module = importlib.import_module("plicode.bingreedy")
         monkeypatch.setattr(module, "greedy_assign", assign_nothing)

@@ -50,7 +50,7 @@ class TestDecodableMessages:
 class TestSatisfiedSet:
     def test_greedy_output_satisfies_everyone(self, demo_instance):
         matrix, _ = bingreedy(demo_instance)
-        sat, report = satisfied_set(matrix, demo_instance, demo_instance.initial_active())
+        sat, report = satisfied_set(matrix, demo_instance)
         assert sat == set(range(7))
         assert all(cs.status == "satisfied" for cs in report)
 
@@ -59,8 +59,8 @@ class TestSatisfiedSet:
         inst = random_instance(60, 20, 0.3, seed=seed)
         spec = FieldSpec(2)
         for matrix in (bingreedy(inst)[0], randomized_code(inst, seed=seed)[0]):
-            sat, report = satisfied_set(matrix, inst, inst.initial_active())
-            assert sat == inst.initial_active()
+            sat, report = satisfied_set(matrix, inst)
+            assert sat == set(inst.non_vacuous_clients())
             for cs in report:
                 req = sorted(inst.requirements[cs.client])
                 if not req:
@@ -73,22 +73,22 @@ class TestSatisfiedSet:
                 assert cs.status == "satisfied" and cs.decodes == smallest
 
     def test_zero_matrix_satisfies_nobody(self, demo_instance):
-        sat, report = satisfied_set(FMatrix.zeros(2, 3, 2), demo_instance, range(7))
+        sat, report = satisfied_set(FMatrix.zeros(2, 3, 2), demo_instance)
         assert sat == set()
         assert all(cs.status == "unsatisfied" for cs in report)
 
     def test_delivered_message_is_smallest(self, demo_instance, demo_matrix):
-        _, report = satisfied_set(demo_matrix, demo_instance, range(7))
+        _, report = satisfied_set(demo_matrix, demo_instance)
         assert report[3].decodes == 0
 
     def test_vacuous_status(self):
         inst = build_instance(2, [set(), {0}])
-        _, report = satisfied_set(FMatrix.from_rows([[1, 0]], 2), inst, inst.initial_active())
+        _, report = satisfied_set(FMatrix.from_rows([[1, 0]], 2), inst)
         assert report[0].status == "vacuous"
         assert report[1].status == "satisfied"
 
     def test_report_json_shape(self, demo_instance, demo_matrix):
-        _, report = satisfied_set(demo_matrix, demo_instance, range(7))
+        _, report = satisfied_set(demo_matrix, demo_instance)
         obj = report_to_json(report)
         assert obj[3] == {"client": 3, "status": "satisfied", "decodes": 0}
 
@@ -193,7 +193,7 @@ class TestEndToEnd:
                     continue
             b = rng.integers(0, q, size=m)
             x = matrix.mul_vector(b)
-            sat, _ = satisfied_set(matrix, inst, inst.initial_active())
+            sat, _ = satisfied_set(matrix, inst)
             for i in sat:
                 side = {j: int(b[j]) for j in inst.side_info(i)}
                 j, value = decode_value(matrix, inst, i, x, side)

@@ -48,7 +48,6 @@ class TestBuildInstance:
         inst = build_instance(2, [set(), {0}])
         assert not inst.adjacency[0].any() and inst.adjacency[1].any()
         assert inst.non_vacuous_clients() == [1]
-        assert inst.initial_active() == {1}
 
 
 class TestConstructor:
@@ -144,6 +143,23 @@ class TestRandomInstance:
             random_instance(0, 3, 0.5, seed=0)
         with pytest.raises(InstanceError):
             random_instance(3, 3, 1.5, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, m, p",
+        [
+            (3, 4, True),
+            (3, 4, np.True_),
+            (3, 4, "0.5"),
+            (3.0, 4, 0.5),
+            (3, 4.0, 0.5),
+            (True, 4, 0.5),
+        ],
+        ids=["bool-p", "numpy-bool-p", "str-p", "float-n", "float-m", "bool-n"],
+    )
+    def test_malformed_numbers_rejected(self, n, m, p):
+        # Not every edge drawn for a bool p, and no TypeError for a float size or str p.
+        with pytest.raises(InstanceError, match="integers n, m|edge probability"):
+            random_instance(n, m, p, seed=0)
 
     @pytest.mark.parametrize("seed", [True, 1.9, -1, [3, 1.0], [3, False], (3, -1)])
     def test_seed_never_truncated(self, seed):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from plicode import oracle
 from plicode.decoding import is_valid_code
 from plicode.fields import FMatrix, essential_columns, rank_generic
 from plicode.instances import all_pairs_instance, build_instance, random_instance
@@ -109,11 +110,13 @@ class TestOptimalCodeLength:
         res = optimal_code_length(inst, q=2, max_K=2)
         assert res.value == 0 and res.witness.n_rows == 0
 
-    def test_budget_guard(self, quad_instance):
+    def test_budget_guard(self, quad_instance, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_MATRICES", 100)
         with pytest.raises(BudgetError):
-            optimal_code_length(quad_instance, q=3, max_K=20, max_matrices=100)
+            optimal_code_length(quad_instance, q=3, max_K=20)
         # Budget is only consulted for levels the search actually enters.
-        assert optimal_code_length(quad_instance, q=3, max_K=20, max_matrices=10**4).value == 2
+        monkeypatch.setattr(oracle, "MAX_MATRICES", 10**4)
+        assert optimal_code_length(quad_instance, q=3, max_K=20).value == 2
 
     def test_deterministic_witness(self, quad_instance):
         a = optimal_code_length(quad_instance, q=3, max_K=2)
@@ -200,10 +203,11 @@ class TestMinrankFitted:
         inst = build_instance(2, [set()])
         assert minrank_fitted(inst, q=3, max_r=2).value == 0
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         inst = all_pairs_instance(6)
+        monkeypatch.setattr(oracle, "MAX_SUBSPACES", 100)
         with pytest.raises(BudgetError):
-            minrank_fitted(inst, q=5, max_r=6, max_subspaces=100)
+            minrank_fitted(inst, q=5, max_r=6)
 
     def test_equals_optimal_length_on_random_instances(self):
         matched = 0
@@ -262,3 +266,15 @@ class TestFieldSize:
             for pair in itertools.combinations(reps, 2)
         )
         assert len(reps) == q + 1 == count_pairwise_independent(q)
+
+
+@pytest.mark.parametrize("cap", [True, -1, 2.0], ids=["bool", "negative", "float"])
+@pytest.mark.parametrize(
+    "search, name",
+    [(optimal_code_length, "max_K"), (minrank_fitted, "max_r")],
+    ids=["optimal_code_length", "minrank_fitted"],
+)
+def test_search_cap_must_be_a_non_negative_integer(quad_instance, search, name, cap):
+    # A bool cap is not read as 1, and a negative one does not report "no code".
+    with pytest.raises(ValueError, match=name):
+        search(quad_instance, 2, cap)

@@ -8,59 +8,90 @@ from plicode.bingreedy import bingreedy
 from plicode.decoding import decodable_messages, is_valid_code
 from plicode.instances import PliableInstance, build_instance, random_instance
 from plicode.fields import essential_columns
-from plicode.randomized import (
-    RandomizedCapError,
-    _from_clients,
-    _seed_stream,
-    plan_bins,
-    randomized_code,
-)
+from plicode.randomized import RandomizedCapError, _from_clients, plan_bins, randomized_code
 from test_reports import _band_index
+
+
+def bin_rng(seed, s):
+    """Bin s's generator: the seed's entries followed by s."""
+    return np.random.default_rng([seed, s] if isinstance(seed, int) else [*seed, s])
+
+
+def bin_prob(instance, s):
+    """p_s = min(2^s / n, 1/2)."""
+    return min(2**s / instance.n, 0.5)
+
+
+def bin_edges(instance, clients):
+    """Sum of |R_i| over the given clients."""
+    return sum(len(instance.requirements[i]) for i in clients)
 
 
 def reference_cumulative_code(instance, seed):
     """The cumulative rule by direct re-elimination: after each draw, stack the
     bin's rows and test every unsatisfied client's required columns afresh.
     Returns (rows, [(s, clients, rows) per bin])."""
-    plan = plan_bins(instance)
-    all_rows, bins = [], []
-    for s in sorted(plan.bins):
-        clients = sorted(plan.bins[s])
-        rng = np.random.default_rng(_seed_stream(seed, s))
+    bins = plan_bins(instance)
+    all_rows, records = [], []
+    for s in sorted(bins):
+        clients = sorted(bins[s])
+        rng = bin_rng(seed, s)
         unsat = np.ones(len(clients), dtype=bool)
         rows = []
         while unsat.any():
-            rows.append((rng.random(instance.m) < plan.probs[s]).astype(np.int64))
+            rows.append((rng.random(instance.m) < bin_prob(instance, s)).astype(np.int64))
             cum = np.array(rows, dtype=np.int64)
             for t in np.nonzero(unsat)[0]:
                 req = sorted(instance.requirements[clients[t]])
                 if essential_columns(cum[:, req], 2).any():
                     unsat[t] = False
         all_rows += [row.tolist() for row in rows]
-        bins.append((s, len(clients), len(rows)))
-    return all_rows, bins
+        records.append((s, len(clients), len(rows)))
+    return all_rows, records
 
 
 def reference_exactly_one_code(instance, seed):
     """The exactly-one rule on a dense per-bin sub-matrix: a drawn row's hit
     count per client is a count_nonzero over the row's columns.
     Returns (rows, [(s, clients, rows) per bin])."""
-    plan = plan_bins(instance)
+    bins = plan_bins(instance)
     adj = instance.adjacency
-    all_rows, bins = [], []
-    for s in sorted(plan.bins):
-        clients = sorted(plan.bins[s])
+    all_rows, records = [], []
+    for s in sorted(bins):
+        clients = sorted(bins[s])
         sub = adj[clients]
-        rng = np.random.default_rng(_seed_stream(seed, s))
+        rng = bin_rng(seed, s)
         unsat = np.ones(len(clients), dtype=bool)
         rows = []
         while unsat.any():
-            row = (rng.random(instance.m) < plan.probs[s]).astype(np.int64)
+            row = (rng.random(instance.m) < bin_prob(instance, s)).astype(np.int64)
             rows.append(row.tolist())
             unsat &= np.count_nonzero(sub[:, row == 1], axis=1) != 1
         all_rows += rows
-        bins.append((s, len(clients), len(rows)))
-    return all_rows, bins
+        records.append((s, len(clients), len(rows)))
+    return all_rows, records
+
+
+def side_tests(monkeypatch, instance, seed):
+    """Run randomized_code and return {s: [(bin_edges, p) per _from_clients
+    call of bin s]}, attributing each call to the bin whose generator was
+    made last."""
+    calls: dict[int, list[tuple[int, float]]] = {}
+    current = []
+    make_rng = np.random.default_rng
+
+    def spy_rng(entries):
+        current[:] = [entries[-1]]
+        return make_rng(entries)
+
+    def spy(bin_edges, p, edges):
+        calls.setdefault(current[0], []).append((bin_edges, p))
+        return _from_clients(bin_edges, p, edges)
+
+    monkeypatch.setattr(np.random, "default_rng", spy_rng)
+    monkeypatch.setattr(randomized, "_from_clients", spy)
+    randomized_code(instance, seed=seed)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -76,9 +107,11 @@ def reference_exactly_one_code(instance, seed):
 )
 def test_exactly_one_matches_dense_reference(n, p, client_side, message_side):
     inst = random_instance(n, round(n**0.75), p, seed=[n, 10])
-    plan = plan_bins(inst)
     edges = inst.clients_by_message[1].size
-    sides = {s: _from_clients(plan.edges[s], plan.probs[s], edges) for s in plan.bins}
+    sides = {
+        s: _from_clients(bin_edges(inst, c), bin_prob(inst, s), edges)
+        for s, c in plan_bins(inst).items()
+    }
     assert {s for s, by_client in sides.items() if by_client} == client_side
     assert {s for s, by_client in sides.items() if not by_client} == message_side
     for seed in (1, [2, 3]):
@@ -88,11 +121,11 @@ def test_exactly_one_matches_dense_reference(n, p, client_side, message_side):
         assert [(b.s, b.clients, b.rows) for b in report.bins] == bins
 
 
-def bin_sets(plan):
-    """The plan's bins as {s: set of clients}; each bin is an increasing array."""
-    for clients in plan.bins.values():
+def bin_sets(bins):
+    """plan_bins' bins as {s: set of clients}; each bin is an increasing array."""
+    for clients in bins.values():
         assert np.all(np.diff(clients) > 0)
-    return {s: set(c.tolist()) for s, c in plan.bins.items()}
+    return {s: set(c.tolist()) for s, c in bins.items()}
 
 
 @pytest.mark.parametrize("client_side", [True, False], ids=["client-side", "message-side"])
@@ -114,7 +147,6 @@ def test_message_side_bins_move_to_the_client_side(monkeypatch):
     # In the 3000-0.01 case bins 9 and 10 start on the message side; each is
     # asked again on every row and moves once its unsatisfied clients are few.
     inst = random_instance(3000, round(3000**0.75), 0.01, seed=[3000, 10])
-    plan = plan_bins(inst)
     answers: dict[float, list[bool]] = {}
 
     def spy(bin_edges, p, edges):
@@ -125,7 +157,7 @@ def test_message_side_bins_move_to_the_client_side(monkeypatch):
     matrix, report = randomized_code(inst, seed=1)
     rows = {b.s: b.rows for b in report.bins}
     for s in (9, 10):
-        seen = answers[plan.probs[s]]
+        seen = answers[bin_prob(inst, s)]
         # False on every row until the last call, which moves the bin.
         assert seen[:-1] == [False] * (len(seen) - 1) and seen[-1] is True
         assert 1 < len(seen) < rows[s]
@@ -146,12 +178,11 @@ class TestPlanBins:
         nonempty = [s for s, c in bin_sets(plan_bins(inst)).items() if c]
         assert len(nonempty) == 1
 
-    def test_degree_30_of_100(self):
+    def test_degree_30_of_100(self, monkeypatch):
         reqs = [set(range(30))] + [{0} for _ in range(99)]
         inst = build_instance(30, reqs)
-        plan = plan_bins(inst)
-        assert 0 in bin_sets(plan)[2]  # 25 < 30 <= 50
-        assert plan.probs[2] == pytest.approx(4 / 100)
+        assert 0 in bin_sets(plan_bins(inst))[2]  # 25 < 30 <= 50
+        assert side_tests(monkeypatch, inst, seed=1)[2][0][1] == pytest.approx(4 / 100)
 
     def test_bins_partition_nonvacuous(self):
         inst = random_instance(50, 10, 0.3, seed=1)
@@ -161,18 +192,22 @@ class TestPlanBins:
             seen |= clients
         assert seen == set(inst.non_vacuous_clients())
 
-    def test_edges_sum_bin_requirements(self):
+    def test_edges_sum_bin_requirements(self, monkeypatch):
+        # A bin's first side test counts the edges of all its clients, and
+        # each bin draws with p_s = min(2^s / n, 1/2).
         inst = random_instance(300, 40, 0.1, seed=2)
-        plan = plan_bins(inst)
-        assert plan.edges == {
-            s: sum(len(inst.requirements[i]) for i in clients)
-            for s, clients in bin_sets(plan).items()
+        calls = side_tests(monkeypatch, inst, seed=1)
+        assert {s: c[0] for s, c in calls.items()} == {
+            s: (bin_edges(inst, clients), bin_prob(inst, s))
+            for s, clients in plan_bins(inst).items()
         }
 
-    def test_probabilities_clamped(self):
+    def test_probabilities_clamped(self, monkeypatch):
+        # Degree 1 of n = 4 is bin 3, where 2^3 / 4 = 2 is clamped to 1/2.
         inst = build_instance(2, [{0} for _ in range(4)])
-        plan = plan_bins(inst)
-        assert all(0 < p <= 0.5 for p in plan.probs.values())
+        calls = side_tests(monkeypatch, inst, seed=1)
+        assert [p for c in calls.values() for _, p in c] == [0.5] * len(calls[3])
+        assert list(calls) == [3]
 
     def test_bands_match_integer_band_index(self):
         # Every degree 0..n+1 at each n, so d = n and d > n (m > n) are covered.

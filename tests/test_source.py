@@ -1,11 +1,15 @@
-"""Source hygiene: every name a plicode module imports is used in it, and
-the package exports exactly the names its __init__.py imports.
+"""Source hygiene: every name a plicode module imports is used in it, the
+package exports exactly the names its __init__.py imports, and the values a
+caller can set are pinned.
 
 __init__.py is skipped by the unused-import check, since its imports are
 the package's re-exports.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,64 @@ def test_all_lists_exactly_the_imports():
 
 def test_every_export_resolves():
     assert [name for name in plicode.__all__ if not hasattr(plicode, name)] == []
+
+
+# Every defaulted parameter of a public function or method, and every field
+# of a public dataclass, in the plicode modules. Each is a value a caller can
+# set; adding one means updating this list.
+SETTABLE = {
+    "bench.ExperimentConfig": [
+        "n_values", "p", "instances", "base_seed", "algorithms", "m_fixed", "timing"
+    ],
+    "bench.ResultRow": [
+        "n", "m", "p", "seed", "algorithm", "code_length_raw", "code_length_pruned",
+        "rounds", "satisfied", "runtime_ms",
+    ],
+    "bingreedy.GroupCode": ["vectors", "sat"],
+    "bingreedy.SortingResult": ["order", "eff_clients", "groups"],
+    "bingreedy.bingreedy": ["use_original_n"],
+    "bingreedy.sort_and_group": ["threshold_n"],
+    "cli.main": ["argv"],
+    "decoding.ClientStatus": ["client", "status", "decodes"],
+    "fields.FMatrix": ["entries", "field"],
+    "fields.FieldSpec": ["q"],
+    "fields.LinearSolution": ["values", "unique"],
+    "instances.PliableInstance": ["adjacency"],
+    "oracle.SearchResult": ["value", "witness", "enumerated", "elapsed_ms"],
+    "randomized.randomized_code": ["stopping"],
+    "reports.BinRecord": ["s", "clients", "rows"],
+    "reports.GroupRecord": ["s", "messages", "sat", "eff"],
+    "reports.RoundRecord": ["groups", "satisfied"],
+    "reports.RunReport": ["rounds", "rows_raw", "rows_pruned", "bins"],
+}
+
+
+def defaulted(func) -> list[str]:
+    params = inspect.signature(func).parameters.values()
+    return [p.name for p in params if p.default is not p.empty]
+
+
+def settable_values() -> dict[str, list[str]]:
+    found = {}
+    for path in MODULES:
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"plicode.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            key = f"{path.stem}.{name}"
+            if inspect.isfunction(obj) and defaulted(obj):
+                found[key] = defaulted(obj)
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    found[key] = [f.name for f in dataclasses.fields(obj)]
+                for attr, member in vars(obj).items():
+                    func = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(func) and defaulted(func):
+                        found[f"{key}.{attr}"] = defaulted(func)
+    return found
+
+
+def test_settable_values_are_pinned():
+    assert settable_values() == SETTABLE

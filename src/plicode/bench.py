@@ -32,7 +32,8 @@ class ExperimentConfig:
     m_fixed sets m for every n; None means m = round(n^0.75). timing=False
     records runtime_ms as 0 so reruns are byte-identical. The n values,
     instances, base_seed and m_fixed must be integers (a bool or a float is
-    rejected, never truncated), and p must be a real number, not a bool.
+    rejected, never truncated), p must be a real number, not a bool, and
+    algorithms must name at least one of "bingreedy" and "randomized".
     """
 
     n_values: tuple[int, ...] = (100, 316, 1000)
@@ -54,6 +55,8 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must be >= 0 and an integer, got {self.base_seed!r}")
         if self.m_fixed is not None and (not is_integer(self.m_fixed) or self.m_fixed < 1):
             raise ValueError(f"m_fixed must be >= 1 and an integer, got {self.m_fixed!r}")
+        if not self.algorithms:
+            raise ValueError("algorithms must name at least one algorithm")
         for alg in self.algorithms:
             if alg not in ("bingreedy", "randomized"):
                 raise ValueError(f"unknown algorithm {alg!r}")

@@ -8,6 +8,12 @@ they go through fields.essential_columns. The whole-code checks read each
 R_i as a slice of the instance's client-major view; the single-client
 readers read the client's adjacency row and build no view. satisfied_set
 takes only the code and the instance: every non-vacuous client is judged.
+
+decode_value recovers a value over F_2 from one XOR elimination
+(fields.gf2_solve) on the client's packed required columns and the
+stripped transmissions: the same kernel that decides decodability yields
+one solution, read at the smallest decodable index. solve_consistent serves
+q > 2 only.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .fields import (
     field_vector,
     gf2_column_words,
     gf2_essential,
+    gf2_solve,
     solve_consistent,
 )
 from .instances import PliableInstance
@@ -115,7 +122,8 @@ def decode_value(
     x must equal A b for a message vector b consistent with side_values
     (values of b on S_i). Strips the side information from x, solves the
     reduced system, and returns the smallest uniquely determined message
-    index with its value.
+    index with its value. Raises InconsistentSystemError, before any
+    DecodingError, when no such b gives x.
     """
     _check_shape(mat, instance)
     q = mat.field.q
@@ -129,6 +137,13 @@ def decode_value(
     if side:
         sv = field_vector([side_values[j] for j in side], q, "side values")
         x = (x - FMatrix(mat.entries[:, side], mat.field).mul_vector(sv)) % q
+    if q == 2:
+        *words, target = gf2_column_words(np.column_stack([mat.entries[:, req], x]))
+        y, ess = gf2_solve(words, target)
+        if not ess:
+            raise DecodingError(f"client {i} cannot uniquely decode any required message")
+        t = (ess & -ess).bit_length() - 1
+        return int(req[t]), (y >> t) & 1
     sub = FMatrix(mat.entries[:, req], mat.field)
     sol = solve_consistent(sub, x)
     uniq = np.nonzero(sol.unique)[0]

@@ -1,10 +1,11 @@
 """Linear algebra over prime fields F_q.
 
 Matrices are dense numpy integer arrays with entries reduced mod q. Over
-F_2, rank and decodability run on one bit-packed kernel: each column is a
-Python int with row r at bit r, eliminated by XOR. Over q > 2 they run on
-an int64 RREF; field orders are capped at MAX_ORDER so that every product
-of two reduced entries fits in int64.
+F_2, rank, decodability and consistent solving (gf2_solve) run on one
+bit-packed kernel: each column is a Python int with row r at bit r,
+eliminated by XOR. Over q > 2 they run on an int64 RREF; field orders are
+capped at MAX_ORDER so that every product of two reduced entries fits in
+int64.
 Degenerate-shape conventions: an empty matrix has rank 0, and the span of
 an empty set of vectors is {0}.
 """
@@ -213,8 +214,8 @@ def gf2_column_words(a: np.ndarray) -> list[int]:
     return [int.from_bytes(col.tobytes(), "little") for col in packed]
 
 
-def _gf2_eliminate(words: Sequence[int]) -> tuple[int, int]:
-    """XOR-basis insertion of packed F_2 columns; returns (rank, dependent-column mask).
+def _gf2_eliminate(words: Sequence[int]) -> tuple[dict[int, tuple[int, int]], int]:
+    """XOR-basis insertion of packed F_2 columns; returns (basis, dependent-column mask).
 
     Each basis vector, keyed by its leading bit, carries the mask of input
     columns that sum to it. A column that reduces to zero yields one null-space
@@ -235,7 +236,7 @@ def _gf2_eliminate(words: Sequence[int]) -> tuple[int, int]:
             combo ^= hit[1]
         else:
             dependent |= combo
-    return len(basis), dependent
+    return basis, dependent
 
 
 def gf2_essential(words: Sequence[int]) -> int:
@@ -243,10 +244,29 @@ def gf2_essential(words: Sequence[int]) -> int:
     return ((1 << len(words)) - 1) & ~_gf2_eliminate(words)[1]
 
 
+def gf2_solve(words: Sequence[int], target: int) -> tuple[int, int]:
+    """Solve sum of y_t * column t = target over F_2 on packed columns.
+
+    Returns (y, essential): y is one solution as a bit mask, and essential is
+    gf2_essential(words). Every solution agrees with y on the essential bits,
+    since two solutions differ by a null-space vector, which is zero there.
+    Raises InconsistentSystemError if target is outside the column span.
+    """
+    basis, dependent = _gf2_eliminate(words)
+    y = 0
+    while target:
+        hit = basis.get(target.bit_length())
+        if hit is None:
+            raise InconsistentSystemError("rhs is not in the column space")
+        target ^= hit[0]
+        y ^= hit[1]
+    return y, ((1 << len(words)) - 1) & ~dependent
+
+
 def rank(mat: FMatrix) -> int:
     """Rank of a matrix over its field; F_2 takes the bit-packed kernel."""
     if mat.field.q == 2:
-        return _gf2_eliminate(gf2_column_words(mat.entries))[0]
+        return len(_gf2_eliminate(gf2_column_words(mat.entries))[0])
     return rank_generic(mat.entries, mat.field.q)
 
 

@@ -48,6 +48,7 @@ class TestConfig:
             dict(m_fixed=0),
             dict(algorithms=("bogus",)),
             dict(base_seed=-1),  # rejected here, not later inside numpy's seeding
+            dict(algorithms=()),  # would run no encoder and write a header-only CSV
         ],
     )
     def test_invalid_configs(self, bad):

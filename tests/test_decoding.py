@@ -12,7 +12,15 @@ from plicode.decoding import (
     report_to_json,
     satisfied_set,
 )
-from plicode.fields import MAX_ORDER, FieldError, FieldSpec, FMatrix, in_span
+from plicode.fields import (
+    MAX_ORDER,
+    FieldError,
+    FieldSpec,
+    FMatrix,
+    InconsistentSystemError,
+    in_span,
+    solve_consistent,
+)
 from plicode.instances import PliableInstance, build_instance, random_instance
 from plicode.randomized import randomized_code
 
@@ -153,6 +161,68 @@ class TestDecodeValue:
             decode_value(demo_matrix, demo_instance, 3, x + 0.5, {2: 0})
         with pytest.raises(FieldError, match="integer"):
             decode_value(demo_matrix, demo_instance, 3, x, {2: 0.5})
+
+    @pytest.mark.parametrize(
+        "q, rows, reaching",
+        [(2, [[1, 1, 1], [1, 1, 0]], 0), (3, [[1, 2, 1], [2, 1, 0]], 2)],
+        ids=["F2", "F3"],
+    )
+    def test_inconsistent_transmissions_raise(self, q, rows, reaching):
+        # a_1 is a multiple of a_0, so the client decodes neither. With
+        # b_2 = 1 the stripped x = (1, 1) - (1, 0) = (0, 1) is no multiple of
+        # a_0, so no b gives x; b_2 = reaching does. The inconsistency is
+        # reported before the failure to decode.
+        inst = build_instance(3, [{0, 1}])
+        mat = FMatrix.from_rows(rows, q)
+        with pytest.raises(InconsistentSystemError):
+            decode_value(mat, inst, 0, [1, 1], {2: 1})
+        with pytest.raises(DecodingError):
+            decode_value(mat, inst, 0, [1, 1], {2: reaching})
+
+
+def reference_decode_value(mat, inst, i, x, side_values):
+    """decode_value through solve_consistent for every field: strip, solve, first unique coordinate."""
+    q = mat.field.q
+    req = np.flatnonzero(inst.adjacency[i])
+    side = sorted(inst.side_info(i))
+    x = np.asarray(x, dtype=np.int64) % q
+    if side:
+        sv = np.array([side_values[j] for j in side], dtype=np.int64)
+        x = (x - mat.entries[:, side] @ sv) % q
+    sol = solve_consistent(FMatrix(mat.entries[:, req], mat.field), x)
+    uniq = np.flatnonzero(sol.unique)
+    if not uniq.size:
+        raise DecodingError("no unique coordinate")
+    return int(req[uniq[0]]), int(sol.values[uniq[0]])
+
+
+def test_f2_value_recovery_matches_solve_consistent_reference():
+    # K = 0 and K = 70 (multi-word packed columns) included; zero columns,
+    # vacuous clients, transmissions no consistent b produces, and systems
+    # with no unique coordinate all occur.
+    rng = np.random.default_rng(2024)
+    outcomes = {"value": 0, InconsistentSystemError: 0, DecodingError: 0}
+    for trial in range(150):
+        K = int(rng.choice([0, 1, 2, 3, 5, 70]))
+        m = int(rng.integers(1, 8))
+        inst = random_instance(int(rng.integers(1, 6)), m, 0.5, seed=[17, trial])
+        entries = rng.integers(0, 2, size=(K, m))
+        entries[:, rng.random(m) < 0.2] = 0
+        mat = FMatrix(entries, FieldSpec(2))
+        b = rng.integers(0, 2, size=m)
+        x = mat.mul_vector(b) if rng.random() < 0.5 else rng.integers(0, 2, size=K)
+        for i in range(inst.n):
+            side = {j: int(rng.integers(0, 2)) for j in inst.side_info(i)}
+            try:
+                expected = reference_decode_value(mat, inst, i, x, side)
+            except (InconsistentSystemError, DecodingError) as err:
+                with pytest.raises(type(err)):
+                    decode_value(mat, inst, i, x, side)
+                outcomes[type(err)] += 1
+            else:
+                assert decode_value(mat, inst, i, x, side) == expected
+                outcomes["value"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_single_client_readers_build_no_client_view():

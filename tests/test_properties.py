@@ -4,13 +4,20 @@ For both encoders: the code is valid, each client's delivered message is
 re-checked through in_span, and decode_value recovers the message's value.
 For BinGreedy: the 1/3 fractions per group and per round and the raw row
 cap of the acceptance suite. For every instance: JSON and text round trips
-keep the bytes and the instance hash.
+keep the bytes and the instance hash. For the CLI: an instance or matrix
+file made malformed by one mutation makes verify exit 2 with an error
+message, never 3 and never a traceback.
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +33,8 @@ from plicode import (
     randomized_code,
     satisfied_set,
 )
+from plicode.cli import main
+from plicode.fields import MAX_ORDER
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -115,3 +124,90 @@ def test_round_trips_keep_bytes_and_hash(inst):
     back = PliableInstance.from_text(inst.to_text())
     assert back.to_text() == inst.to_text()
     assert instance_hash(back) == instance_hash(inst)
+
+
+# Small and huge magnitudes: a small negative index would wrap around in
+# numpy indexing, a huge one overflows int64.
+NEGATIVE = st.one_of(st.integers(-8, -1), st.integers(-(2**70), -1))
+PAST = st.one_of(st.integers(0, 3), st.integers(0, 2**70))
+MUTATIONS = [
+    (target, kind)
+    for target in ("instance json", "instance text", "matrix")
+    for kind in ("truncate", "float", "negative", "out of range", "width")
+    if kind != "width" or target == "matrix"
+]
+
+
+def mutate_number(draw, kind, old, bound):
+    if kind == "float":
+        return draw(st.sampled_from([old + 0.5, float(old)]))
+    if kind == "negative":
+        return draw(NEGATIVE)
+    return bound + draw(PAST)
+
+
+@st.composite
+def mutated_files(draw, target, kind):
+    """(instance file text, matrix file text) for an instance and its BinGreedy
+    code, with the target file made malformed by one mutation of the kind."""
+    inst = draw(instances())
+    m, reqs = inst.m, inst.requirement_lists()
+    matrix = bingreedy(inst)[0].to_json()
+    q, rows = matrix["q"], matrix["rows"]
+    if target != "matrix" and kind != "truncate":
+        if not any(reqs):
+            reqs.append([0])
+        slots = [(i, k) for i, r in enumerate(reqs) for k in range(len(r))]
+        slot = draw(st.sampled_from(slots + ([] if kind == "out of range" else ["m"])))
+        if slot == "m":
+            m = mutate_number(draw, kind, m, None)
+        else:
+            i, k = slot
+            reqs[i][k] = mutate_number(draw, kind, reqs[i][k], m)
+    elif kind == "width":
+        if not rows:
+            rows.append([0] * m)
+        # Every row (a code of the wrong width) or one row (a ragged matrix).
+        changed = rows if draw(st.booleans()) else [draw(st.sampled_from(rows))]
+        grow = draw(st.booleans())
+        for row in changed:
+            row.append(0) if grow else row.pop()
+    elif kind != "truncate":
+        slots = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+        slot = draw(st.sampled_from(slots + ["q"]))
+        if slot == "q":
+            q = mutate_number(draw, kind, q, MAX_ORDER + 1)
+        else:
+            r, c = slot
+            rows[r][c] = mutate_number(draw, kind, rows[r][c], q)
+    if target == "instance text":
+        lines = [f"{m} {len(reqs)}"] + [" ".join(map(str, r)) for r in reqs]
+        inst_text = "\n".join(lines) + "\n"
+    else:
+        inst_text = json.dumps({"m": m, "requirements": reqs})
+    mat_text = json.dumps({"q": q, "rows": rows})
+    if kind == "truncate":
+        if target == "instance text":
+            # A cut inside a line can leave a valid file, so whole client lines go.
+            inst_text = "".join(inst_text.splitlines(keepends=True)[: draw(st.integers(0, len(reqs)))])
+        elif target == "instance json":
+            inst_text = inst_text[: draw(st.integers(0, len(inst_text) - 1))]
+        else:
+            mat_text = mat_text[: draw(st.integers(0, len(mat_text) - 1))]
+    return inst_text, mat_text
+
+
+@pytest.mark.parametrize("target, kind", MUTATIONS)
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data())
+def test_mutated_files_are_input_errors(target, kind, data):
+    files = data.draw(mutated_files(target, kind))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / name) for name in ("instance", "matrix.json")]
+        for path, text in zip(paths, files):
+            Path(path).write_text(text)
+        with contextlib.redirect_stderr(err):
+            code = main(["verify", "--instance", paths[0], "--matrix", paths[1]])
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith("error: ") and "internal" not in err.getvalue()

@@ -5,7 +5,9 @@ F_2, rank, decodability and consistent solving (gf2_solve) run on one
 bit-packed kernel: each column is a Python int with row r at bit r,
 eliminated by XOR. Over q > 2 they run on an int64 RREF; field orders are
 capped at MAX_ORDER so that every product of two reduced entries fits in
-int64.
+int64. fq_essential is the F_q twin of the XOR kernel on tuples of Python
+ints, for the exact oracle's tiny blocks, where a numpy call per block
+costs more than the elimination; larger blocks stay on the RREF.
 Degenerate-shape conventions: an empty matrix has rank 0, and the span of
 an empty set of vectors is {0}.
 """
@@ -87,6 +89,10 @@ class FieldSpec:
     q: int
 
     def __post_init__(self):
+        if not is_integer(self.q):
+            raise FieldError(f"field order must be an integer, got {self.q!r}")
+        # A numpy order is stored as a Python int, so to_json output stays serialisable.
+        object.__setattr__(self, "q", int(self.q))
         _check_order(self.q)
         if not is_prime(self.q):
             raise FieldError(f"field order must be a prime >= 2, got {self.q}")
@@ -159,8 +165,6 @@ class FMatrix:
 
         "rows": [] carries no width and parses as 0 x 0."""
         q, rows = obj["q"], obj["rows"]
-        if not is_integer(q):
-            raise FieldError(f"field order must be an integer, got {q!r}")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise DimensionError("rows must be a list of lists")
         bad = [x for r in rows for x in r if not is_integer(x)]
@@ -261,6 +265,43 @@ def gf2_solve(words: Sequence[int], target: int) -> tuple[int, int]:
         target ^= hit[0]
         y ^= hit[1]
     return y, ((1 << len(words)) - 1) & ~dependent
+
+
+def fq_essential(columns: Sequence[Sequence[int]], q: int) -> int:
+    """Bit t set iff column t lies outside the F_q span of the others, q prime.
+
+    The F_q twin of _gf2_eliminate on plain ints, for tiny blocks: columns
+    are equal-length sequences of ints, inserted one at a time into a basis
+    keyed by lead row (first nonzero entry). Each basis vector is scaled to
+    a lead of 1 and carries, past its k entries, the coefficients of the
+    input columns that sum to it. A column that reduces to zero yields one
+    null-space vector; these span the null space, so the union of their
+    supports is the set of columns that occur in some dependency.
+    """
+    n = len(columns)
+    basis: dict[int, list[int]] = {}
+    dependent = 0
+    for t, col in enumerate(columns):
+        k = len(col)
+        v = [x % q for x in col] + [0] * n
+        v[k + t] = 1
+        for r in range(k):
+            a = v[r]
+            if not a:
+                continue
+            hit = basis.get(r)
+            if hit is None:
+                if a != 1:
+                    inv = pow(a, -1, q)
+                    v = [x * inv % q for x in v]
+                basis[r] = v
+                break
+            v = [(x - a * y) % q for x, y in zip(v, hit)]
+        else:
+            for j in range(n):
+                if v[k + j]:
+                    dependent |= 1 << j
+    return ((1 << n) - 1) & ~dependent
 
 
 def rank(mat: FMatrix) -> int:

@@ -208,8 +208,8 @@ def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
 
 def all_pairs_instance(m: int) -> PliableInstance:
     """One client per singleton {j} and one per pair {j1, j2}; n = m + C(m, 2)."""
-    if m < 2:
-        raise InstanceError(f"all-pairs family needs m >= 2, got {m}")
+    if not is_integer(m) or m < 2:
+        raise InstanceError(f"all-pairs family needs an integer m >= 2, got {m!r}")
     return build_instance(m, [(j,) for j in range(m)] + list(itertools.combinations(range(m), 2)))
 
 

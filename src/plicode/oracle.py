@@ -13,14 +13,17 @@ bound the two enumerations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
 from .decoding import is_valid_code
-from .fields import FieldSpec, FMatrix, essential_columns, is_integer
+from .fields import FieldSpec, FMatrix, fq_essential, gf2_essential, is_integer
 from .instances import PliableInstance, all_pairs_instance
 
 
@@ -61,18 +64,29 @@ def _search_fixed_length(
 
     A client's satisfaction depends only on its own requirement columns, so
     it can be checked (and the branch pruned) as soon as its last required
-    column is assigned. Column col holds option choice[col] of the k x q^k
-    options table, and a client's verdict is a function of the options at
-    its required columns alone, so each distinct tuple of options is judged
-    once per search.
+    column is assigned. Column col holds options[choice[col]], one of the
+    q^k vectors of F_q^k, and a client's verdict is a function of the
+    option indices at its required columns alone, so each distinct tuple of
+    indices is judged once per search, on plain ints: over F_2 by
+    gf2_essential on each option's packed word, otherwise by fq_essential
+    on the option tuples.
     """
     m = instance.m
-    finish: list[list[list[int]]] = [[] for _ in range(m)]
-    for req in filter(None, instance.requirement_lists()):
-        finish[req[-1]].append(req)
     # Lexicographic by integer value, first row most significant.
-    table = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64).T
-    n_options = table.shape[1]
+    options = list(itertools.product(range(q), repeat=k))
+    if q == 2:
+        # Each option as a packed word, row r at bit r.
+        columns = [sum(bit << r for r, bit in enumerate(v)) for v in options]
+        essential = gf2_essential
+    else:
+        columns, essential = options, functools.partial(fq_essential, q=q)
+    # Per column, the key getters of the clients whose last required column
+    # it is; itemgetter of one index returns it bare, so that key is wrapped.
+    finish: list[list[Callable]] = [[] for _ in range(m)]
+    for req in filter(None, instance.requirement_lists()):
+        j = req[0]
+        finish[req[-1]].append(itemgetter(*req) if len(req) > 1 else lambda c, j=j: (c[j],))
+    n_options = len(options)
     verdicts: dict[tuple[int, ...], bool] = {}
     choice = [-1] * m  # -1: no option tried yet at this column
     col = 0
@@ -86,16 +100,16 @@ def _search_fixed_length(
             continue
         choice[col] = t
         counter[0] += 1
-        for req in finish[col]:
-            key = tuple(choice[j] for j in req)
+        for get in finish[col]:
+            key = get(choice)
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = bool(essential_columns(table[:, key], q).any())
+                ok = verdicts[key] = essential([columns[t] for t in key]) != 0
             if not ok:
                 break
         else:
             col += 1
-    return table[:, choice]
+    return np.array([options[t] for t in choice], dtype=np.int64).T
 
 
 def optimal_code_length(instance: PliableInstance, q: int, max_K: int) -> SearchResult:
@@ -205,8 +219,8 @@ DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 def min_field_for_length2(m: int) -> int | None:
     """Smallest prime q in DEFAULT_PRIMES admitting a length-2 code for the
     all-pairs instance on m messages; None if none of them works."""
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
+    if not is_integer(m) or m < 3:
+        raise ValueError(f"need an integer m >= 3, got {m!r}")
     instance = all_pairs_instance(m)
     for q in DEFAULT_PRIMES:
         res = optimal_code_length(instance, q, max_K=2)

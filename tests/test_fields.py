@@ -1,6 +1,7 @@
 """Field arithmetic and matrix kernels, checked against brute-force oracles."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from plicode.fields import (
     FMatrix,
     InconsistentSystemError,
     essential_columns,
+    fq_essential,
+    gf2_column_words,
+    gf2_essential,
     in_span,
     is_prime,
     rank,
@@ -78,6 +82,16 @@ class TestArithmetic:
     def test_composite_order_rejected(self, q):
         with pytest.raises(FieldError):
             FieldSpec(q)
+
+    @pytest.mark.parametrize("q", [2.0, 2.5, "3"])
+    def test_non_integer_order_rejected(self, q):
+        with pytest.raises(FieldError, match="integer"):
+            FieldSpec(q)
+
+    def test_numpy_order_stored_as_int(self):
+        mat = FMatrix.zeros(1, 2, np.int64(3))
+        assert type(mat.field.q) is int
+        assert json.loads(json.dumps(mat.to_json())) == {"q": 3, "rows": [[0, 0]]}
 
     def test_is_prime(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
@@ -233,6 +247,59 @@ class TestGf2Kernel:
         for j in range(a.shape[1]):
             others = [a[:, t] for t in range(a.shape[1]) if t != j]
             assert ess[j] == (not in_span(a[:, j], others, spec))
+
+
+def fq_blocks(q, count, seed):
+    """Seeded k x n blocks over F_q, 1 <= k <= 3 and 1 <= n <= 8, whose columns
+    are zero, fresh random, repeated or scaled copies of an earlier column,
+    or sums of two earlier ones."""
+    rng = np.random.default_rng([seed, q])
+    for _ in range(count):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        cols = []
+        for _ in range(n):
+            kind = int(rng.integers(0, 5)) if cols else 1
+            if kind == 0:
+                col = np.zeros(k, dtype=np.int64)
+            elif kind == 1:
+                col = rng.integers(0, q, size=k)
+            elif kind == 2:
+                col = cols[rng.integers(len(cols))].copy()
+            elif kind == 3:
+                col = cols[rng.integers(len(cols))] * int(rng.integers(1, q)) % q
+            else:
+                a, b = rng.integers(len(cols), size=2)
+                col = (cols[a] + cols[b]) % q
+            cols.append(col)
+        yield np.stack(cols, axis=1)
+
+
+class TestFqKernel:
+    """fq_essential on tuples of ints against the int64 RREF (essential_columns
+    for q > 2) and in_span, for every field order class the oracle can meet."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, MAX_ORDER])
+    def test_matches_rref_and_span(self, q):
+        spec = FieldSpec(q)
+        for a in fq_blocks(q, 150, seed=23):
+            n = a.shape[1]
+            mask = fq_essential([tuple(col) for col in a.T.tolist()], q)
+            ess = essential_columns(a, q)
+            spans = [
+                not in_span(a[:, j], [a[:, t] for t in range(n) if t != j], spec)
+                for j in range(n)
+            ]
+            assert [bool(mask >> j & 1) for j in range(n)] == ess.tolist() == spans
+            if q == 2:
+                assert mask == gf2_essential(gf2_column_words(a))
+
+    def test_unreduced_entries(self):
+        # Entries are reduced mod q on entry: (4, 1) is 2 * (2, 3) over F_5.
+        assert fq_essential([(4, 1), (7, 13), (0, 5)], 5) == 0
+
+    def test_no_rows(self):
+        # Over zero rows every column is the zero vector, in the span {0}.
+        assert fq_essential([(), ()], 3) == 0
 
 
 class TestInSpan:

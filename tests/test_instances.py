@@ -198,6 +198,10 @@ class TestAllPairsInstance:
     def test_m6_count(self):
         assert all_pairs_instance(6).n == 21
 
+    def test_non_integer_m_rejected(self):
+        with pytest.raises(InstanceError, match="integer"):
+            all_pairs_instance(3.0)
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_singleton_and_pair_counts(self, m):
         inst = all_pairs_instance(m)

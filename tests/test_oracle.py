@@ -7,7 +7,7 @@ import pytest
 
 from plicode import oracle
 from plicode.decoding import is_valid_code
-from plicode.fields import FMatrix, essential_columns, rank_generic
+from plicode.fields import FieldError, FMatrix, essential_columns, rank_generic
 from plicode.instances import all_pairs_instance, build_instance, random_instance
 from plicode.oracle import (
     BudgetError,
@@ -146,6 +146,7 @@ class TestMatchesReferenceSearches:
             (3, 20, 3, range(3)),
             (5, 8, 3, range(3)),
             (5, 12, 3, range(1)),  # the reference tries 12684 options here
+            (7, 12, 4, range(3)),
         ],
     )
     def test_seeded_random_instances(self, q, n, m, seeds):
@@ -235,6 +236,10 @@ class TestFieldSize:
         with pytest.raises(ValueError):
             min_field_for_length2(2)
 
+    def test_non_integer_m_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            min_field_for_length2(3.0)
+
     @pytest.mark.parametrize("q,expected", [(2, 3), (3, 4), (5, 6)])
     def test_pairwise_independent_count(self, q, expected):
         assert count_pairwise_independent(q) == expected
@@ -278,3 +283,8 @@ def test_search_cap_must_be_a_non_negative_integer(quad_instance, search, name, 
     # A bool cap is not read as 1, and a negative one does not report "no code".
     with pytest.raises(ValueError, match=name):
         search(quad_instance, 2, cap)
+
+
+def test_non_integer_field_order_rejected(quad_instance):
+    with pytest.raises(FieldError, match="integer"):
+        optimal_code_length(quad_instance, 2.0, 2)

@@ -3,7 +3,9 @@
 For both encoders: the code is valid, each client's delivered message is
 re-checked through in_span, and decode_value recovers the message's value.
 For BinGreedy: the 1/3 fractions per group and per round and the raw row
-cap of the acceptance suite. For every instance: JSON and text round trips
+cap of the acceptance suite. Over F_2 with caps of 3: the optimal code
+length bounds both encoders' pruned lengths from below, and minrank over
+the fitted subspaces equals it. For every instance: JSON and text round trips
 keep the bytes and the instance hash. For the CLI: an instance or matrix
 file made malformed by one mutation makes verify exit 2 with an error
 message, never 3 and never a traceback.
@@ -24,12 +26,15 @@ from hypothesis import strategies as st
 from plicode import (
     FieldSpec,
     PliableInstance,
+    all_pairs_instance,
     bingreedy,
     build_instance,
     decode_value,
     in_span,
     instance_hash,
     is_valid_code,
+    minrank_fitted,
+    optimal_code_length,
     randomized_code,
     satisfied_set,
 )
@@ -111,6 +116,19 @@ def test_bingreedy_report_bounds(inst, use_original_n):
         assert report.rows_raw <= cap
     else:
         assert report.rows_raw == 0
+
+
+@SETTINGS
+@given(inst=instances(), seed=st.integers(0, 2**16))
+@with_examples(seed=0)
+@example(inst=all_pairs_instance(4), seed=0)  # optimum 3, which drawn instances rarely reach
+def test_exact_oracles_bound_the_encoders(inst, seed):
+    # At m <= 6 and caps of 3 both searches stay within budget, so both
+    # settle; value None means no code of length <= 3 exists.
+    opt = optimal_code_length(inst, 2, max_K=3).value
+    assert minrank_fitted(inst, 2, max_r=3).value == opt
+    for report in (bingreedy(inst)[1], randomized_code(inst, seed=seed)[1]):
+        assert report.rows_pruned > 3 if opt is None else opt <= report.rows_pruned
 
 
 @SETTINGS

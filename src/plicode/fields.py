@@ -3,11 +3,10 @@
 Matrices are dense numpy integer arrays with entries reduced mod q. Over
 F_2, rank, decodability and consistent solving (gf2_solve) run on one
 bit-packed kernel: each column is a Python int with row r at bit r,
-eliminated by XOR. Over q > 2 they run on an int64 RREF; field orders are
-capped at MAX_ORDER so that every product of two reduced entries fits in
-int64. fq_essential is the F_q twin of the XOR kernel on tuples of Python
-ints, for the exact oracle's tiny blocks, where a numpy call per block
-costs more than the elimination; larger blocks stay on the RREF.
+eliminated by XOR. Over q > 2, decodability runs on fq_essential, the F_q
+twin of the XOR kernel on sequences of Python ints, while rank and
+consistent solving run on an int64 RREF; field orders are capped at
+MAX_ORDER so that every product of two reduced entries fits in int64.
 Degenerate-shape conventions: an empty matrix has rank 0, and the span of
 an empty set of vectors is {0}.
 """
@@ -270,13 +269,13 @@ def gf2_solve(words: Sequence[int], target: int) -> tuple[int, int]:
 def fq_essential(columns: Sequence[Sequence[int]], q: int) -> int:
     """Bit t set iff column t lies outside the F_q span of the others, q prime.
 
-    The F_q twin of _gf2_eliminate on plain ints, for tiny blocks: columns
-    are equal-length sequences of ints, inserted one at a time into a basis
-    keyed by lead row (first nonzero entry). Each basis vector is scaled to
-    a lead of 1 and carries, past its k entries, the coefficients of the
-    input columns that sum to it. A column that reduces to zero yields one
-    null-space vector; these span the null space, so the union of their
-    supports is the set of columns that occur in some dependency.
+    The F_q twin of _gf2_eliminate on plain ints: columns are equal-length
+    sequences of ints, inserted one at a time into a basis keyed by lead
+    row (first nonzero entry). Each basis vector is scaled to a lead of 1
+    and carries, past its k entries, the coefficients of the input columns
+    that sum to it. A column that reduces to zero yields one null-space
+    vector; these span the null space, so the union of their supports is
+    the set of columns that occur in some dependency.
     """
     n = len(columns)
     basis: dict[int, list[int]] = {}
@@ -347,15 +346,16 @@ def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
 
     Column j is outside the span of the rest iff every null-space vector of
     the matrix has a zero j-th coordinate. Over F_2 the bit-packed kernel
-    finds this directly; otherwise it is read off the RREF: j must be a
-    pivot column whose pivot row is zero on all free columns.
+    finds this; otherwise fq_essential does, on the columns as Python ints.
     """
     if q == 2:
         words = gf2_column_words(a)
         ess = gf2_essential(words)
-        return np.array([(ess >> t) & 1 for t in range(len(words))], dtype=bool)
-    r, pivots = _rref(a, q)
-    return _determined(r, pivots, r.shape[1])
+    else:
+        _check_order(q)
+        words = np.asarray(a, dtype=np.int64).T.tolist()
+        ess = fq_essential(words, int(q))
+    return np.array([(ess >> t) & 1 for t in range(len(words))], dtype=bool)
 
 
 @dataclass(frozen=True)

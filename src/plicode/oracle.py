@@ -121,6 +121,7 @@ def optimal_code_length(instance: PliableInstance, q: int, max_K: int) -> Search
     """
     _check_cap("max_K", max_K)
     spec = FieldSpec(q)
+    q = spec.q  # a Python int, so q ** (k * m) below cannot wrap
     t0 = time.perf_counter()
     if not instance.non_vacuous_clients():
         return SearchResult(0, FMatrix.zeros(0, instance.m, q), 0, _ms(t0))
@@ -178,6 +179,7 @@ def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResul
     subspaces have dimension 1..max_r."""
     _check_cap("max_r", max_r)
     spec = FieldSpec(q)
+    q = spec.q  # a Python int, so the subspace count below cannot wrap
     t0 = time.perf_counter()
     nonvac = instance.non_vacuous_clients()
     if not nonvac:

@@ -275,8 +275,9 @@ def fq_blocks(q, count, seed):
 
 
 class TestFqKernel:
-    """fq_essential on tuples of ints against the int64 RREF (essential_columns
-    for q > 2) and in_span, for every field order class the oracle can meet."""
+    """fq_essential on tuples of ints against the int64 RREF (solve_consistent's
+    uniqueness flags), essential_columns and in_span, for every field order
+    class the oracle can meet."""
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, MAX_ORDER])
     def test_matches_rref_and_span(self, q):
@@ -285,11 +286,13 @@ class TestFqKernel:
             n = a.shape[1]
             mask = fq_essential([tuple(col) for col in a.T.tolist()], q)
             ess = essential_columns(a, q)
+            unique = solve_consistent(FMatrix(a, spec), np.zeros(a.shape[0], dtype=np.int64))
             spans = [
                 not in_span(a[:, j], [a[:, t] for t in range(n) if t != j], spec)
                 for j in range(n)
             ]
-            assert [bool(mask >> j & 1) for j in range(n)] == ess.tolist() == spans
+            bits = [bool(mask >> j & 1) for j in range(n)]
+            assert bits == ess.tolist() == unique.unique.tolist() == spans
             if q == 2:
                 assert mask == gf2_essential(gf2_column_words(a))
 

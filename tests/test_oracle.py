@@ -118,6 +118,22 @@ class TestOptimalCodeLength:
         monkeypatch.setattr(oracle, "MAX_MATRICES", 10**4)
         assert optimal_code_length(quad_instance, q=3, max_K=20).value == 2
 
+    def test_numpy_budget_does_not_wrap(self):
+        # 2^64 in int64 arithmetic reads 0, which would pass the budget check.
+        inst = build_instance(64, [{0}])
+        with pytest.raises(BudgetError):
+            optimal_code_length(inst, q=np.int64(2), max_K=1)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_numpy_field_order(self, quad_instance, q):
+        # A numpy order searches as its Python int: same value, witness and count.
+        assert _outcome(optimal_code_length(quad_instance, np.int64(q), 4)) == (
+            _outcome(optimal_code_length(quad_instance, q, 4))
+        )
+        assert _outcome(minrank_fitted(quad_instance, np.int64(q), 3)) == (
+            _outcome(minrank_fitted(quad_instance, q, 3))
+        )
+
     def test_deterministic_witness(self, quad_instance):
         a = optimal_code_length(quad_instance, q=3, max_K=2)
         b = optimal_code_length(quad_instance, q=3, max_K=2)

@@ -1,19 +1,18 @@
 """Client-side decodability: which messages a coding matrix delivers.
 
 A client can uniquely decode message j iff column a_j lies outside the
-span of the other columns indexed by its requirement set. Over F_2 the
-whole-code checks pack the code once and run the bit-packed kernel
-(fields.gf2_essential) per client; over q > 2, and for a single client,
-they go through fields.essential_columns. The whole-code checks read each
-R_i as a slice of the instance's client-major view; the single-client
-readers read the client's adjacency row and build no view. satisfied_set
-takes only the code and the instance: every non-vacuous client is judged.
+span of the other columns indexed by its requirement set. The whole-code
+checks put the code's columns in fields.column_words format once and run
+fields.essential per client, reading each R_i as a slice of the instance's
+client-major view; decodable_messages goes through fields.essential_columns.
+The single-client readers read the client's adjacency row and build no
+view. satisfied_set takes only the code and the instance: every non-vacuous
+client is judged.
 
-decode_value recovers a value over F_2 from one XOR elimination
-(fields.gf2_solve) on the client's packed required columns and the
-stripped transmissions: the same kernel that decides decodability yields
-one solution, read at the smallest decodable index. solve_consistent serves
-q > 2 only.
+decode_value recovers a value from one fields.solve call on the client's
+required columns and the stripped transmissions: the same elimination that
+decides decodability yields one solution, read at the smallest decodable
+index. Nothing here branches on the field order.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ import numpy as np
 from .fields import (
     DimensionError,
     FMatrix,
+    column_words,
+    essential,
     essential_columns,
     field_vector,
-    gf2_column_words,
-    gf2_essential,
-    gf2_solve,
-    solve_consistent,
+    solve,
 )
 from .instances import PliableInstance
 
@@ -55,9 +53,11 @@ def _check_shape(mat: FMatrix, instance: PliableInstance) -> None:
 
 
 def decodable_messages(mat: FMatrix, instance: PliableInstance, i: int) -> set[int]:
-    """All j in R_i that client i can uniquely decode under the matrix."""
+    """All j in R_i that client i can uniquely decode under the matrix.
+
+    Raises InstanceError unless i is an integer in [0, n)."""
     _check_shape(mat, instance)
-    req = np.flatnonzero(instance.adjacency[i])
+    req = np.flatnonzero(instance.client_row(i))
     if not req.size:
         return set()
     mask = essential_columns(mat.entries[:, req], mat.field.q)
@@ -70,20 +70,14 @@ def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[
     q = mat.field.q
     indptr, indices = instance.messages_by_client
     bounds, cols = indptr.tolist(), indices.tolist()
-    if q == 2:
-        # The packed columns laid out edge by edge: R_i's words are one slice.
-        words = gf2_column_words(mat.entries)
-        edge_words = [words[j] for j in cols]
+    # The columns laid out edge by edge: R_i's words are one slice.
+    words = column_words(mat.entries, q)
+    edge_words = [words[j] for j in cols]
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if a == b:
             continue
-        if q == 2:
-            ess = gf2_essential(edge_words[a:b])
-            yield i, cols[a + (ess & -ess).bit_length() - 1] if ess else None
-        else:
-            req = cols[a:b]
-            hit = np.flatnonzero(essential_columns(mat.entries[:, req], q))
-            yield i, req[hit[0]] if hit.size else None
+        ess = essential(edge_words[a:b], q)
+        yield i, cols[a + (ess & -ess).bit_length() - 1] if ess else None
 
 
 def satisfied_set(mat: FMatrix, instance: PliableInstance) -> tuple[set[int], list[ClientStatus]]:
@@ -122,35 +116,29 @@ def decode_value(
     x must equal A b for a message vector b consistent with side_values
     (values of b on S_i). Strips the side information from x, solves the
     reduced system, and returns the smallest uniquely determined message
-    index with its value. Raises InconsistentSystemError, before any
-    DecodingError, when no such b gives x.
+    index with its value. Raises InstanceError unless i is an integer in
+    [0, n), and InconsistentSystemError, before any DecodingError, when no
+    such b gives x.
     """
     _check_shape(mat, instance)
+    row = instance.client_row(i)
     q = mat.field.q
     x = field_vector(x, q, "transmission values")
     if x.shape != (mat.n_rows,):
         raise DimensionError(f"transmission vector length {x.shape} != {mat.n_rows} rows")
-    side = sorted(instance.side_info(i))
+    side = np.flatnonzero(~row).tolist()
     if set(side_values) != set(side):
         raise DecodingError(f"side_values keys must be exactly S_{i} = {side}")
-    req = np.flatnonzero(instance.adjacency[i])
+    req = np.flatnonzero(row)
     if side:
         sv = field_vector([side_values[j] for j in side], q, "side values")
         x = (x - FMatrix(mat.entries[:, side], mat.field).mul_vector(sv)) % q
-    if q == 2:
-        *words, target = gf2_column_words(np.column_stack([mat.entries[:, req], x]))
-        y, ess = gf2_solve(words, target)
-        if not ess:
-            raise DecodingError(f"client {i} cannot uniquely decode any required message")
-        t = (ess & -ess).bit_length() - 1
-        return int(req[t]), (y >> t) & 1
-    sub = FMatrix(mat.entries[:, req], mat.field)
-    sol = solve_consistent(sub, x)
-    uniq = np.nonzero(sol.unique)[0]
-    if uniq.size == 0:
+    *words, target = column_words(np.column_stack([mat.entries[:, req], x]), q)
+    y, ess = solve(words, target, q)
+    if not ess:
         raise DecodingError(f"client {i} cannot uniquely decode any required message")
-    t = int(uniq[0])
-    return int(req[t]), int(sol.values[t])
+    t = (ess & -ess).bit_length() - 1
+    return int(req[t]), y[t]
 
 
 def report_to_json(report: list[ClientStatus]) -> list[dict]:

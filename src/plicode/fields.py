@@ -1,14 +1,15 @@
 """Linear algebra over prime fields F_q.
 
-Matrices are dense numpy integer arrays with entries reduced mod q. Over
-F_2, rank, decodability and consistent solving (gf2_solve) run on one
-bit-packed kernel: each column is a Python int with row r at bit r,
-eliminated by XOR. Over q > 2, decodability runs on fq_essential, the F_q
-twin of the XOR kernel on sequences of Python ints, while rank and
-consistent solving run on an int64 RREF; field orders are capped at
-MAX_ORDER so that every product of two reduced entries fits in int64.
-Degenerate-shape conventions: an empty matrix has rank 0, and the span of
-an empty set of vectors is {0}.
+Matrices are dense numpy integer arrays with entries reduced mod q. This
+module is the only one that branches on the field order. Rank,
+decodability (essential) and consistent solving (solve) run on one
+column-insertion kernel for every prime q: column_words turns each column
+into one Python int with row r at bit r (F_2, eliminated by XOR) or a tuple
+of reduced Python ints (q > 2). _rref, rank_generic, in_span and
+solve_consistent form an independent int64 RREF reference; field orders are
+capped at MAX_ORDER so that every product of two reduced entries fits in
+int64. Degenerate-shape conventions: an empty matrix has rank 0, and the
+span of an empty set of vectors is {0}.
 """
 
 from __future__ import annotations
@@ -204,83 +205,54 @@ def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank_generic(a: np.ndarray, q: int) -> int:
-    """Rank over F_q via Gaussian elimination on a plain array."""
-    a = np.asarray(a, dtype=np.int64)
+    """Rank over F_q via Gaussian elimination on a plain integer array;
+    raises FieldError on any non-integer entry."""
+    a = np.asarray(a)
+    _require_integers(a, "matrix entries")
     if a.size == 0:
         return 0
     return len(_rref(a, q)[1])
 
 
-def gf2_column_words(a: np.ndarray) -> list[int]:
-    """Each column of a 0/1 matrix as one Python int, row r at bit r; any row count."""
-    packed = np.packbits(np.asarray(a).T & 1, axis=1, bitorder="little")
-    return [int.from_bytes(col.tobytes(), "little") for col in packed]
+def column_words(a: np.ndarray, q: int) -> list:
+    """Each column of a, in the format essential and solve take: over F_2 one
+    Python int with row r at bit r (any row count), over q > 2 a tuple of
+    Python ints reduced mod q."""
+    if q == 2:
+        packed = np.packbits(np.asarray(a).T & 1, axis=1, bitorder="little")
+        return [int.from_bytes(col.tobytes(), "little") for col in packed]
+    _check_order(q)
+    return [tuple(col) for col in (np.asarray(a, dtype=np.int64) % q).T.tolist()]
 
 
-def _gf2_eliminate(words: Sequence[int]) -> tuple[dict[int, tuple[int, int]], int]:
-    """XOR-basis insertion of packed F_2 columns; returns (basis, dependent-column mask).
+def _eliminate(words: Sequence, q: int) -> tuple[dict, int]:
+    """Column insertion into a basis keyed by lead; returns (basis, dependent-column mask).
 
-    Each basis vector, keyed by its leading bit, carries the mask of input
-    columns that sum to it. A column that reduces to zero yields one null-space
-    vector (its mask); these span the null space, so their OR is the set of
-    columns that occur in some dependency.
+    Each basis vector carries the input columns that sum to it: over F_2 a
+    (word, column mask) pair keyed by the leading bit; over q > 2 one list,
+    the k entries scaled to a lead of 1 and then one coefficient per column,
+    keyed by its first nonzero row. A column that reduces to zero yields one
+    null-space vector; these span the null space, so the union of their
+    supports is the set of columns that occur in some dependency.
     """
-    basis: dict[int, tuple[int, int]] = {}
+    basis: dict = {}
     dependent = 0
-    for t, w in enumerate(words):
-        combo = 1 << t
-        while w:
-            lead = w.bit_length()
-            hit = basis.get(lead)
-            if hit is None:
-                basis[lead] = (w, combo)
-                break
-            w ^= hit[0]
-            combo ^= hit[1]
-        else:
-            dependent |= combo
-    return basis, dependent
-
-
-def gf2_essential(words: Sequence[int]) -> int:
-    """Bit t set iff packed column t lies outside the F_2 span of the others."""
-    return ((1 << len(words)) - 1) & ~_gf2_eliminate(words)[1]
-
-
-def gf2_solve(words: Sequence[int], target: int) -> tuple[int, int]:
-    """Solve sum of y_t * column t = target over F_2 on packed columns.
-
-    Returns (y, essential): y is one solution as a bit mask, and essential is
-    gf2_essential(words). Every solution agrees with y on the essential bits,
-    since two solutions differ by a null-space vector, which is zero there.
-    Raises InconsistentSystemError if target is outside the column span.
-    """
-    basis, dependent = _gf2_eliminate(words)
-    y = 0
-    while target:
-        hit = basis.get(target.bit_length())
-        if hit is None:
-            raise InconsistentSystemError("rhs is not in the column space")
-        target ^= hit[0]
-        y ^= hit[1]
-    return y, ((1 << len(words)) - 1) & ~dependent
-
-
-def fq_essential(columns: Sequence[Sequence[int]], q: int) -> int:
-    """Bit t set iff column t lies outside the F_q span of the others, q prime.
-
-    The F_q twin of _gf2_eliminate on plain ints: columns are equal-length
-    sequences of ints, inserted one at a time into a basis keyed by lead
-    row (first nonzero entry). Each basis vector is scaled to a lead of 1
-    and carries, past its k entries, the coefficients of the input columns
-    that sum to it. A column that reduces to zero yields one null-space
-    vector; these span the null space, so the union of their supports is
-    the set of columns that occur in some dependency.
-    """
-    n = len(columns)
-    basis: dict[int, list[int]] = {}
-    dependent = 0
-    for t, col in enumerate(columns):
+    if q == 2:
+        for t, w in enumerate(words):
+            combo = 1 << t
+            while w:
+                lead = w.bit_length()
+                hit = basis.get(lead)
+                if hit is None:
+                    basis[lead] = (w, combo)
+                    break
+                w ^= hit[0]
+                combo ^= hit[1]
+            else:
+                dependent |= combo
+        return basis, dependent
+    n = len(words)
+    for t, col in enumerate(words):
         k = len(col)
         v = [x % q for x in col] + [0] * n
         v[k + t] = 1
@@ -300,23 +272,62 @@ def fq_essential(columns: Sequence[Sequence[int]], q: int) -> int:
             for j in range(n):
                 if v[k + j]:
                     dependent |= 1 << j
-    return ((1 << n) - 1) & ~dependent
+    return basis, dependent
+
+
+def essential(words: Sequence, q: int) -> int:
+    """Bit t set iff column t (column_words format) lies outside the F_q span of the others."""
+    return ((1 << len(words)) - 1) & ~_eliminate(words, q)[1]
+
+
+def solve(words: Sequence, target, q: int) -> tuple[list[int], int]:
+    """Solve sum of y_t * column t = target over F_q, all in column_words format.
+
+    Returns (y, essential(words, q)). y is zero off the basis columns, so it
+    is solve_consistent's free-variables-zero solution, and every solution
+    agrees with it on the essential columns. Raises InconsistentSystemError
+    if target is outside the column span.
+    """
+    basis, dependent = _eliminate(words, q)
+    n = len(words)
+    if q == 2:
+        y = 0
+        while target:
+            hit = basis.get(target.bit_length())
+            if hit is None:
+                raise InconsistentSystemError("rhs is not in the column space")
+            target ^= hit[0]
+            y ^= hit[1]
+        values = [(y >> t) & 1 for t in range(n)]
+    else:
+        # Each step subtracts a times a basis vector's coefficients: the tail ends as -y.
+        k = len(target)
+        v = [x % q for x in target] + [0] * n
+        for r in range(k):
+            a = v[r]
+            if a:
+                hit = basis.get(r)
+                if hit is None:
+                    raise InconsistentSystemError("rhs is not in the column space")
+                v = [(x - a * y) % q for x, y in zip(v, hit)]
+        values = [-x % q for x in v[k:]]
+    return values, ((1 << n) - 1) & ~dependent
 
 
 def rank(mat: FMatrix) -> int:
-    """Rank of a matrix over its field; F_2 takes the bit-packed kernel."""
-    if mat.field.q == 2:
-        return len(_gf2_eliminate(gf2_column_words(mat.entries))[0])
-    return rank_generic(mat.entries, mat.field.q)
+    """Rank of a matrix over its field: the size of its column basis."""
+    q = mat.field.q
+    return len(_eliminate(column_words(mat.entries, q), q)[0])
 
 
 def in_span(v, vectors, spec: FieldSpec) -> bool:
     """True iff v is an F_q-linear combination of the given vectors.
 
-    The span of an empty collection is {0}.
+    The span of an empty collection is {0}. Raises FieldError on any
+    non-integer entry.
     """
-    v = np.asarray(v, dtype=np.int64) % spec.q
-    vecs = [np.asarray(c, dtype=np.int64) % spec.q for c in vectors]
+    v = field_vector(v, spec.q, "vector entries")
+    vecs = [field_vector(c, spec.q, "span members") for c in vectors]
     for c in vecs:
         if c.shape != v.shape:
             raise DimensionError("span members and test vector must share the same length")
@@ -345,16 +356,10 @@ def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
     """Boolean mask of columns not contained in the span of the other columns.
 
     Column j is outside the span of the rest iff every null-space vector of
-    the matrix has a zero j-th coordinate. Over F_2 the bit-packed kernel
-    finds this; otherwise fq_essential does, on the columns as Python ints.
+    the matrix has a zero j-th coordinate; essential finds them.
     """
-    if q == 2:
-        words = gf2_column_words(a)
-        ess = gf2_essential(words)
-    else:
-        _check_order(q)
-        words = np.asarray(a, dtype=np.int64).T.tolist()
-        ess = fq_essential(words, int(q))
+    words = column_words(a, q)
+    ess = essential(words, int(q))
     return np.array([(ess >> t) & 1 for t in range(len(words))], dtype=bool)
 
 

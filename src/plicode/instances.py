@@ -92,8 +92,15 @@ class PliableInstance:
         """Per client, R_i as a frozenset."""
         return tuple(frozenset(r) for r in self.requirement_lists())
 
+    def client_row(self, i: int) -> np.ndarray:
+        """Client i's adjacency row; raises InstanceError unless i is an integer in [0, n)."""
+        if not is_integer(i) or not 0 <= i < self.n:
+            raise InstanceError(f"client index must be an integer in [0, {self.n}), got {i!r}")
+        return self.adjacency[i]
+
     def side_info(self, i: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(~self.adjacency[i]).tolist())
+        """S_i = {0..m-1} \\ R_i; raises InstanceError unless i is an integer in [0, n)."""
+        return frozenset(np.flatnonzero(~self.client_row(i)).tolist())
 
     def non_vacuous_clients(self) -> list[int]:
         """The clients with a nonempty R_i, increasing: each encoder's active set at start."""

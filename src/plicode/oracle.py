@@ -6,14 +6,15 @@ optimal_code_length enumerates coding matrices column by column with
 client-complete pruning (each client verdict is memoised on the options at
 its required columns), while minrank_fitted enumerates low-dimensional
 subspaces through canonical reduced-echelon bases and tests all clients
-against each one at once. Witnesses are always re-verified through the
-decodability engine before being returned. MAX_MATRICES and MAX_SUBSPACES
-bound the two enumerations.
+against each one at once. The length search judges clients on
+fields.essential, which takes every prime q in one column format, so
+nothing here branches on the field order. Witnesses are always re-verified
+through the decodability engine before being returned. MAX_MATRICES and
+MAX_SUBSPACES bound the two enumerations.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .decoding import is_valid_code
-from .fields import FieldSpec, FMatrix, fq_essential, gf2_essential, is_integer
+from .fields import FieldSpec, FMatrix, column_words, essential, is_integer
 from .instances import PliableInstance, all_pairs_instance
 
 
@@ -67,19 +68,13 @@ def _search_fixed_length(
     column is assigned. Column col holds options[choice[col]], one of the
     q^k vectors of F_q^k, and a client's verdict is a function of the
     option indices at its required columns alone, so each distinct tuple of
-    indices is judged once per search, on plain ints: over F_2 by
-    gf2_essential on each option's packed word, otherwise by fq_essential
-    on the option tuples.
+    indices is judged once per search, on plain ints, by fields.essential on
+    the options in column_words format.
     """
     m = instance.m
     # Lexicographic by integer value, first row most significant.
     options = list(itertools.product(range(q), repeat=k))
-    if q == 2:
-        # Each option as a packed word, row r at bit r.
-        columns = [sum(bit << r for r, bit in enumerate(v)) for v in options]
-        essential = gf2_essential
-    else:
-        columns, essential = options, functools.partial(fq_essential, q=q)
+    columns = column_words(np.array(options, dtype=np.int64).T, q)
     # Per column, the key getters of the clients whose last required column
     # it is; itemgetter of one index returns it bare, so that key is wrapped.
     finish: list[list[Callable]] = [[] for _ in range(m)]
@@ -104,7 +99,7 @@ def _search_fixed_length(
             key = get(choice)
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = essential([columns[t] for t in key]) != 0
+                ok = verdicts[key] = essential([columns[t] for t in key], q) != 0
             if not ok:
                 break
         else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FMatrix, gf2_essential
+from .fields import FMatrix, essential
 from .instances import PliableInstance, seed_entries
 from .reports import BinRecord, RunReport, dyadic_band, encoded
 
@@ -125,7 +125,7 @@ def randomized_code(
                 for j in np.flatnonzero(row).tolist():
                     words[j] |= bit
                 for t in np.flatnonzero(unsat).tolist():
-                    if gf2_essential([words[j] for j in reqs[t]]):
+                    if essential([words[j] for j in reqs[t]], 2):
                         unsat[t] = False
             elif edge_client is None and not _from_clients(live_edges, p, indices.size):
                 support = np.flatnonzero(row).tolist()

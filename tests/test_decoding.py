@@ -21,7 +21,7 @@ from plicode.fields import (
     in_span,
     solve_consistent,
 )
-from plicode.instances import PliableInstance, build_instance, random_instance
+from plicode.instances import InstanceError, PliableInstance, build_instance, random_instance
 from plicode.randomized import randomized_code
 
 
@@ -162,6 +162,18 @@ class TestDecodeValue:
         with pytest.raises(FieldError, match="integer"):
             decode_value(demo_matrix, demo_instance, 3, x, {2: 0.5})
 
+    @pytest.mark.parametrize("i", [-1, 7, True, 1.0], ids=["negative", "n", "bool", "float"])
+    def test_bad_client_index_rejected(self, demo_instance, demo_matrix, i):
+        # The demo instance has n = 7 clients. -1 read client 6's row; True
+        # and 1.0 reached numpy indexing.
+        x = demo_matrix.mul_vector([1, 1, 0])
+        with pytest.raises(InstanceError, match="client index"):
+            decodable_messages(demo_matrix, demo_instance, i)
+        with pytest.raises(InstanceError, match="client index"):
+            decode_value(demo_matrix, demo_instance, i, x, {})
+        with pytest.raises(InstanceError, match="client index"):
+            demo_instance.side_info(i)
+
     @pytest.mark.parametrize(
         "q, rows, reaching",
         [(2, [[1, 1, 1], [1, 1, 0]], 0), (3, [[1, 2, 1], [2, 1, 0]], 2)],
@@ -187,8 +199,9 @@ def reference_decode_value(mat, inst, i, x, side_values):
     side = sorted(inst.side_info(i))
     x = np.asarray(x, dtype=np.int64) % q
     if side:
-        sv = np.array([side_values[j] for j in side], dtype=np.int64)
-        x = (x - mat.entries[:, side] @ sv) % q
+        # Python-int products: over F_(2^31 - 1) an int64 dot product can overflow.
+        sv = np.array([side_values[j] for j in side], dtype=object)
+        x = ((x - mat.entries[:, side].astype(object) @ sv) % q).astype(np.int64)
     sol = solve_consistent(FMatrix(mat.entries[:, req], mat.field), x)
     uniq = np.flatnonzero(sol.unique)
     if not uniq.size:
@@ -197,32 +210,34 @@ def reference_decode_value(mat, inst, i, x, side_values):
 
 
 def test_f2_value_recovery_matches_solve_consistent_reference():
-    # K = 0 and K = 70 (multi-word packed columns) included; zero columns,
-    # vacuous clients, transmissions no consistent b produces, and systems
-    # with no unique coordinate all occur.
-    rng = np.random.default_rng(2024)
-    outcomes = {"value": 0, InconsistentSystemError: 0, DecodingError: 0}
-    for trial in range(150):
-        K = int(rng.choice([0, 1, 2, 3, 5, 70]))
-        m = int(rng.integers(1, 8))
-        inst = random_instance(int(rng.integers(1, 6)), m, 0.5, seed=[17, trial])
-        entries = rng.integers(0, 2, size=(K, m))
-        entries[:, rng.random(m) < 0.2] = 0
-        mat = FMatrix(entries, FieldSpec(2))
-        b = rng.integers(0, 2, size=m)
-        x = mat.mul_vector(b) if rng.random() < 0.5 else rng.integers(0, 2, size=K)
-        for i in range(inst.n):
-            side = {j: int(rng.integers(0, 2)) for j in inst.side_info(i)}
-            try:
-                expected = reference_decode_value(mat, inst, i, x, side)
-            except (InconsistentSystemError, DecodingError) as err:
-                with pytest.raises(type(err)):
-                    decode_value(mat, inst, i, x, side)
-                outcomes[type(err)] += 1
-            else:
-                assert decode_value(mat, inst, i, x, side) == expected
-                outcomes["value"] += 1
-    assert min(outcomes.values()) >= 20, outcomes
+    # Over F_2 (its own generator, inputs as first written) and over
+    # q = 3, 5, 7 and 2^31 - 1. K = 0 and K = 70 (multi-word packed columns
+    # over F_2) included; zero columns, vacuous clients, transmissions no
+    # consistent b produces, and systems with no unique coordinate all occur.
+    for q in (2, 3, 5, 7, MAX_ORDER):
+        rng = np.random.default_rng(2024 if q == 2 else [2024, q])
+        outcomes = {"value": 0, InconsistentSystemError: 0, DecodingError: 0}
+        for trial in range(150):
+            K = int(rng.choice([0, 1, 2, 3, 5, 70]))
+            m = int(rng.integers(1, 8))
+            inst = random_instance(int(rng.integers(1, 6)), m, 0.5, seed=[17, trial])
+            entries = rng.integers(0, q, size=(K, m))
+            entries[:, rng.random(m) < 0.2] = 0
+            mat = FMatrix(entries, FieldSpec(q))
+            b = rng.integers(0, q, size=m)
+            x = mat.mul_vector(b) if rng.random() < 0.5 else rng.integers(0, q, size=K)
+            for i in range(inst.n):
+                side = {j: int(rng.integers(0, q)) for j in inst.side_info(i)}
+                try:
+                    expected = reference_decode_value(mat, inst, i, x, side)
+                except (InconsistentSystemError, DecodingError) as err:
+                    with pytest.raises(type(err)):
+                        decode_value(mat, inst, i, x, side)
+                    outcomes[type(err)] += 1
+                else:
+                    assert decode_value(mat, inst, i, x, side) == expected
+                    outcomes["value"] += 1
+        assert min(outcomes.values()) >= 20, (q, outcomes)
 
 
 def test_single_client_readers_build_no_client_view():

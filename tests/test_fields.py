@@ -14,14 +14,14 @@ from plicode.fields import (
     FieldSpec,
     FMatrix,
     InconsistentSystemError,
+    column_words,
+    essential,
     essential_columns,
-    fq_essential,
-    gf2_column_words,
-    gf2_essential,
     in_span,
     is_prime,
     rank,
     rank_generic,
+    solve,
     solve_consistent,
 )
 
@@ -111,6 +111,15 @@ class TestArithmetic:
         a = np.array([[1, q - 1], [q - 1, 1]])  # second row is -1 times the first
         with pytest.raises(FieldError):
             rank_generic(a, q)
+
+
+    @pytest.mark.parametrize(
+        "a", [[[0.5, 1.0]], [[True, False]], [["1", "0"]]], ids=["float", "bool", "str"]
+    )
+    def test_rank_generic_rejects_non_integers(self, a):
+        # The float matrix read as rank 1: 0.5 and 1.0 were cast to 0 and 1.
+        with pytest.raises(FieldError, match="integer"):
+            rank_generic(np.array(a), 3)
 
 
 class TestFMatrix:
@@ -230,6 +239,7 @@ class TestRank:
         r = rank_generic(a, q)
         assert r == rank_generic(a.T, q)
         assert r == brute_force_rank(a, q)
+        assert r == rank(FMatrix(a, FieldSpec(q)))
 
     @settings(max_examples=150, deadline=None)
     @given(gf2_matrices())
@@ -275,16 +285,19 @@ def fq_blocks(q, count, seed):
 
 
 class TestFqKernel:
-    """fq_essential on tuples of ints against the int64 RREF (solve_consistent's
-    uniqueness flags), essential_columns and in_span, for every field order
-    class the oracle can meet."""
+    """essential and solve on column_words columns against the int64 RREF
+    (solve_consistent's values and uniqueness flags), essential_columns and
+    in_span, for every field order class the oracle can meet."""
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, MAX_ORDER])
     def test_matches_rref_and_span(self, q):
         spec = FieldSpec(q)
+        rng = np.random.default_rng([29, q])
+        outcomes = {"solved": 0, "inconsistent": 0}
         for a in fq_blocks(q, 150, seed=23):
             n = a.shape[1]
-            mask = fq_essential([tuple(col) for col in a.T.tolist()], q)
+            words = column_words(a, q)
+            mask = essential(words, q)
             ess = essential_columns(a, q)
             unique = solve_consistent(FMatrix(a, spec), np.zeros(a.shape[0], dtype=np.int64))
             spans = [
@@ -293,16 +306,29 @@ class TestFqKernel:
             ]
             bits = [bool(mask >> j & 1) for j in range(n)]
             assert bits == ess.tolist() == unique.unique.tolist() == spans
-            if q == 2:
-                assert mask == gf2_essential(gf2_column_words(a))
+            # solve: a right-hand side in the column span, then a random one.
+            consistent = FMatrix(a, spec).mul_vector(rng.integers(0, q, size=n))
+            for rhs in (consistent, rng.integers(0, q, size=a.shape[0])):
+                target = column_words(rhs[:, None], q)[0]
+                try:
+                    ref = solve_consistent(FMatrix(a, spec), rhs)
+                except InconsistentSystemError:
+                    with pytest.raises(InconsistentSystemError):
+                        solve(words, target, q)
+                    outcomes["inconsistent"] += 1
+                else:
+                    values, solve_mask = solve(words, target, q)
+                    assert values == ref.values.tolist() and solve_mask == mask
+                    outcomes["solved"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
 
     def test_unreduced_entries(self):
         # Entries are reduced mod q on entry: (4, 1) is 2 * (2, 3) over F_5.
-        assert fq_essential([(4, 1), (7, 13), (0, 5)], 5) == 0
+        assert essential([(4, 1), (7, 13), (0, 5)], 5) == 0
 
     def test_no_rows(self):
         # Over zero rows every column is the zero vector, in the span {0}.
-        assert fq_essential([(), ()], 3) == 0
+        assert essential([(), ()], 3) == 0
 
 
 class TestInSpan:
@@ -319,6 +345,16 @@ class TestInSpan:
     def test_empty_span_is_zero(self):
         assert in_span(np.zeros(3, dtype=int), [], FieldSpec(2))
         assert not in_span(np.array([1, 0, 0]), [], FieldSpec(2))
+
+    @pytest.mark.parametrize(
+        "v, vectors",
+        [([1.5, 0], [[1, 0]]), ([1, 0], [[1.0, 0.5]]), ([True, False], [[1, 0]]), (["1", "0"], [])],
+        ids=["float-vector", "float-member", "bool", "str"],
+    )
+    def test_non_integer_entries_rejected(self, v, vectors):
+        # The first read as True: 1.5 was cast to 1, which is in the span.
+        with pytest.raises(FieldError, match="integer"):
+            in_span(v, vectors, FieldSpec(3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):

@@ -1,6 +1,6 @@
 """Source hygiene: every name a plicode module imports is used in it, the
-package exports exactly the names its __init__.py imports, and the values a
-caller can set are pinned.
+package exports exactly the names its __init__.py imports, only fields
+compares a field order with 2, and the values a caller can set are pinned.
 
 __init__.py is skipped by the unused-import check, since its imports are
 the package's re-exports.
@@ -59,6 +59,35 @@ def test_all_lists_exactly_the_imports():
 
 def test_every_export_resolves():
     assert [name for name in plicode.__all__ if not hasattr(plicode, name)] == []
+
+
+def field_order_comparisons(source: str) -> list[str]:
+    """Lines that compare q, or any .q attribute, with the constant 2."""
+
+    def is_order(node):
+        return (isinstance(node, ast.Name) and node.id == "q") or (
+            isinstance(node, ast.Attribute) and node.attr == "q"
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            two = any(isinstance(x, ast.Constant) and x.value == 2 for x in operands)
+            if two and any(is_order(x) for x in operands):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_detects_a_field_order_comparison():
+    src = "if q == 2:\n    pass\nok = 2 < mat.field.q\nfine = p == 2 or q == 3\n"
+    assert field_order_comparisons(src) == ["line 1: q == 2", "line 3: 2 < mat.field.q"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"], ids=lambda p: p.name)
+def test_only_fields_branches_on_the_field_order(path):
+    # fields alone chooses between the F_2 and the q > 2 column formats.
+    assert field_order_comparisons(path.read_text()) == []
 
 
 # Every defaulted parameter of a public function or method, and every field

@@ -19,7 +19,7 @@ from .decoding import (
     is_valid_code,
     satisfied_set,
 )
-from .fields import FieldSpec, FMatrix, in_span, rank, solve_consistent
+from .fields import FieldSpec, FMatrix, rank
 from .instances import (
     PliableInstance,
     all_pairs_instance,
@@ -53,7 +53,6 @@ __all__ = [
     "decodable_messages",
     "decode_value",
     "greedy_assign",
-    "in_span",
     "instance_hash",
     "is_valid_code",
     "min_field_for_length2",
@@ -65,7 +64,6 @@ __all__ = [
     "rank",
     "run_benchmark",
     "satisfied_set",
-    "solve_consistent",
     "sort_and_group",
     "summarize",
     "write_csv",

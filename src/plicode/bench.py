@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bingreedy import bingreedy
 from .decoding import is_valid_code
-from .fields import is_integer, is_real
+from .fields import check_integer, check_integers, check_probability
 from .instances import instance_hash, random_instance
 from .randomized import randomized_code
 
@@ -45,21 +45,14 @@ class ExperimentConfig:
     timing: bool = True
 
     def __post_init__(self):
-        if not self.n_values or any(not is_integer(n) or n < 1 for n in self.n_values):
-            raise ValueError(f"n values must be >= 1 and integers, got {self.n_values}")
-        if not is_real(self.p) or not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be a number in [0, 1], got {self.p!r}")
-        if not is_integer(self.instances) or self.instances < 1:
-            raise ValueError(f"instances must be >= 1 and an integer, got {self.instances!r}")
-        if not is_integer(self.base_seed) or self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0 and an integer, got {self.base_seed!r}")
-        if self.m_fixed is not None and (not is_integer(self.m_fixed) or self.m_fixed < 1):
-            raise ValueError(f"m_fixed must be >= 1 and an integer, got {self.m_fixed!r}")
-        if not self.algorithms:
-            raise ValueError("algorithms must name at least one algorithm")
-        for alg in self.algorithms:
-            if alg not in ("bingreedy", "randomized"):
-                raise ValueError(f"unknown algorithm {alg!r}")
+        check_integers(self.n_values, 1, None, "n values", ValueError)
+        check_probability(self.p, "p", ValueError)
+        check_integer(self.instances, 1, None, "instances", ValueError)
+        check_integer(self.base_seed, 0, None, "base_seed", ValueError)
+        if self.m_fixed is not None:
+            check_integer(self.m_fixed, 1, None, "m_fixed", ValueError)
+        if not self.algorithms or not set(self.algorithms) <= {"bingreedy", "randomized"}:
+            raise ValueError(f"algorithms must name bingreedy, randomized or both, got {self.algorithms!r}")
 
     def m_for(self, n: int) -> int:
         return max(1, round(n**0.75)) if self.m_fixed is None else self.m_fixed

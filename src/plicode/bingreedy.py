@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FMatrix
-from .instances import PliableInstance, adjacency_matrix
+from .fields import FMatrix, check_integer, check_integers
+from .instances import InstanceError, PliableInstance, adjacency_matrix
 from .reports import GroupRecord, RoundRecord, RunReport, dyadic_band, encoded
 
 CODING_VECTORS = ((1, 0), (0, 1), (1, 1))
@@ -63,14 +63,15 @@ def sort_and_group(
     """Greedy max-remaining-degree ordering plus dyadic grouping.
 
     threshold_n defaults to |active|; passing the instance's original n
-    reproduces the fixed-threshold grouping variant.
+    reproduces the fixed-threshold grouping variant. active must be a
+    nonempty set of clients in [0, n), and threshold_n an integer >= 1.
     """
-    if not active:
-        raise ValueError("active set must be nonempty")
+    check_integers(active, 0, instance.n, "active client", InstanceError)
+    n_thr = len(active) if threshold_n is None else (
+        check_integer(threshold_n, 1, None, "threshold_n", ValueError))
     adj = adjacency_matrix(instance)
     indptr, indices = instance.clients_by_message
     bounds = indptr.tolist()
-    n_thr = len(active) if threshold_n is None else threshold_n
     remaining = np.zeros(instance.n, dtype=bool)
     remaining[list(active)] = True
     acc = np.min_scalar_type(instance.n)
@@ -131,10 +132,13 @@ def greedy_assign(
     Visits messages in order; for each, evaluates the three candidate
     vectors against the currently satisfied clients connected to the
     message, keeps the maximizer, drops newly broken clients from SAT,
-    and promotes the message's effective clients to SAT.
+    and promotes the message's effective clients to SAT. group must be a
+    nonempty list of messages in [0, m), each of them a key of eff.
     """
-    if not group:
-        raise ValueError("group must be nonempty")
+    check_integers(group, 0, instance.m, "group message", InstanceError)
+    missing = [j for j in group if j not in eff]
+    if missing:
+        raise ValueError(f"eff lacks the effective clients of group messages {missing}")
     indptr, indices = instance.clients_by_message
     bounds = indptr.tolist()
     sat: dict[int, int] = {}  # client -> state

@@ -10,67 +10,49 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
-from .bench import BenchmarkError, ExperimentConfig, run_benchmark, write_csv
-from .bingreedy import EncoderStallError, bingreedy
+from .bench import ExperimentConfig, run_benchmark, write_csv
+from .bingreedy import bingreedy
 from .decoding import is_valid_code, report_to_json, satisfied_set
-from .fields import DimensionError, FieldError, FMatrix, InconsistentSystemError
+from .fields import DimensionError, FieldError, FMatrix, check_integer
 from .instances import InstanceError, PliableInstance, all_pairs_instance, random_instance
 from .oracle import (
     BudgetError,
-    OracleError,
     count_pairwise_independent,
     min_field_for_length2,
     minrank_fitted,
     optimal_code_length,
 )
-from .randomized import RandomizedCapError, randomized_code
+from .randomized import randomized_code
 
 
 class CliError(Exception):
     """User-facing CLI failure; the message names the offending flag/file."""
 
 
-class SelfCheckError(RuntimeError):
-    """An encoder's output failed the CLI's own re-verification."""
-
-
 # Exit 2: the user's arguments or files are at fault (OSError: an output path
-# that cannot be written; unreadable inputs already raise CliError).
-INPUT_ERRORS = (CliError, BudgetError, InstanceError, FieldError, DimensionError, OSError)
-# Exit 3: an invariant the program itself guarantees was broken.
-INTERNAL_ERRORS = (
-    SelfCheckError,
-    EncoderStallError,
-    OracleError,
-    RandomizedCapError,
-    BenchmarkError,
-    InconsistentSystemError,
-)
+# that cannot be written; a malformed file raises the JSON and decode errors).
+# Any other exception exits 3: the program broke an invariant it guarantees.
+INPUT_ERRORS = (CliError, BudgetError, InstanceError, FieldError, DimensionError, OSError,
+                json.JSONDecodeError, UnicodeDecodeError)
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type for --seed and the search caps --max-k and --max-r.
-
-    The generators take only non-negative seeds, and 0 is a real cap.
-    """
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+    """argparse type for --seed, --max-k and --max-r: seeds are >= 0, and 0 is a real cap."""
+    return check_integer(int(text), 0, None, "value", ValueError)
 
 
 def load_instance(path: str) -> PliableInstance:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
-        raise CliError(f"--instance: cannot read {path}: {exc}") from exc
-    try:
         if text.lstrip().startswith("{"):
             return PliableInstance.from_json(json.loads(text))
         return PliableInstance.from_text(text)
-    except Exception as exc:
+    except OSError as exc:
+        raise CliError(f"--instance: cannot read {path}: {exc}") from exc
+    except INPUT_ERRORS as exc:
         raise CliError(f"--instance: {path} is not a valid instance file: {exc}") from exc
 
 
@@ -91,7 +73,7 @@ def load_matrix(path: str) -> FMatrix:
             return FMatrix.from_json(json.load(fh))
     except OSError as exc:
         raise CliError(f"--matrix: cannot read {path}: {exc}") from exc
-    except Exception as exc:
+    except INPUT_ERRORS as exc:
         raise CliError(f"--matrix: {path} is not a valid matrix file: {exc}") from exc
 
 
@@ -104,7 +86,18 @@ def _write_json(obj, path: str | None) -> None:
         print(json.dumps(obj, indent=2))
 
 
+def reject_unread_flags(args, chosen: str, readers: dict) -> None:
+    """CliError for a flag given with an --alg or gen kind that does not read it.
+    readers maps a dest to (the choice that reads it, its default); such flags
+    default to argparse.SUPPRESS, so they are in args only when given."""
+    for dest, (reader, default) in readers.items():
+        if reader != chosen and dest in args:
+            raise CliError(f"--{dest.replace('_', '-')} applies only to {reader}, not {chosen}")
+        vars(args).setdefault(dest, default)
+
+
 def cmd_gen(args) -> int:
+    reject_unread_flags(args, args.kind, {"n": ("random", None), "p": ("random", 0.3), "seed": ("random", 0)})
     if args.kind == "random":
         if args.n is None or args.m is None:
             raise CliError("gen random: both --n and --m are required")
@@ -118,6 +111,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    reject_unread_flags(args, args.alg, {
+        "use_original_n": ("bingreedy", False), "seed": ("randomized", 0),
+        "stopping": ("randomized", "exactly_one"), "q": ("optimal", 2), "max_k": ("optimal", None),
+    })
     instance = load_instance(args.instance)
     if args.alg == "bingreedy":
         matrix, report = bingreedy(instance, use_original_n=args.use_original_n)
@@ -135,7 +132,7 @@ def cmd_encode(args) -> int:
     if args.prune:
         matrix = matrix.prune_zero_rows()
     if not is_valid_code(matrix, instance):
-        raise SelfCheckError(f"encode {args.alg}: produced matrix failed verification")
+        raise RuntimeError(f"encode {args.alg}: produced matrix failed verification")
     _write_json(matrix.to_json(), args.matrix_out)
     _write_json(report_obj, args.report_out)
     return 0
@@ -217,12 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plicode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    unset = argparse.SUPPRESS  # see reject_unread_flags
     p = sub.add_parser("gen", help="write a random or all-pairs instance file")
     p.add_argument("kind", choices=["random", "all-pairs"])
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=unset)
     p.add_argument("--m", type=int)
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--p", type=float, default=unset, help="default 0.3")
+    p.add_argument("--seed", type=non_negative_int, default=unset, help="default 0")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["auto", "json", "text"], default="auto")
     p.set_defaults(func=cmd_gen)
@@ -232,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--matrix-out", default=None, help="output matrix JSON (stdout if omitted)")
     p.add_argument("--report-out", default=None, help="output report JSON (stdout if omitted)")
-    p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--q", type=int, default=2, help="field order for --alg optimal")
-    p.add_argument("--max-k", type=non_negative_int, default=None, help="length cap for --alg optimal")
+    p.add_argument("--seed", type=non_negative_int, default=unset, help="default 0")
+    p.add_argument("--q", type=int, default=unset, help="field order for --alg optimal (default 2)")
+    p.add_argument("--max-k", type=non_negative_int, default=unset, help="length cap for --alg optimal")
     p.add_argument("--prune", action="store_true", help="drop all-zero rows from the matrix (any --alg)")
-    p.add_argument("--use-original-n", action="store_true", help="fixed grouping thresholds")
-    p.add_argument("--stopping", choices=["exactly_one", "cumulative"], default="exactly_one")
+    p.add_argument("--use-original-n", action="store_true", default=unset, help="fixed grouping thresholds")
+    p.add_argument("--stopping", choices=["exactly_one", "cumulative"], default=unset)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("verify", help="check a matrix file against an instance file")
@@ -276,12 +274,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INTERNAL_ERRORS as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 3
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -52,6 +52,34 @@ def is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def check_integer(x, lo: int, hi: int | None, what: str, error: type[ValueError]) -> int:
+    """x as a Python int; raises error unless x is an integer (not a bool) in
+    [lo, hi), hi None meaning unbounded: the one rule for every count and index."""
+    if not (is_integer(x) and lo <= x and (hi is None or x < hi)):
+        bound = f"must be >= {lo}" if hi is None else f"out of range: must be in [{lo}, {hi})"
+        raise error(f"{what} {bound} and an integer, got {x!r}")
+    return int(x)
+
+
+def check_integers(values, lo: int, hi: int | None, what: str, error: type[ValueError]) -> None:
+    """Raises error unless values is a nonempty collection of members check_integer
+    accepts. It checks one member of each type but int, then the smallest and the
+    largest (sorted compares plain ints faster than min and max do)."""
+    if not values:
+        raise error(f"no {what} given")
+    for t in set(map(type, values)) - {int}:
+        check_integer(next(x for x in values if type(x) is t), lo, hi, what, error)
+    ordered = sorted(values)
+    check_integer(ordered[0], lo, hi, what, error)
+    check_integer(ordered[-1], lo, hi, what, error)
+
+
+def check_probability(p, what: str, error: type[ValueError]) -> None:
+    """Raises error unless p is a real number (not a bool) in [0, 1]; NaN is not."""
+    if not is_real(p) or not 0.0 <= p <= 1.0:
+        raise error(f"{what} must be a number in [0, 1], got {p!r}")
+
+
 def _require_integers(a: np.ndarray, what: str) -> None:
     # Never truncate: a float, complex, bool or string entry is rejected, not cast.
     if a.size and a.dtype.kind not in "iu" and not (
@@ -89,22 +117,11 @@ class FieldSpec:
     q: int
 
     def __post_init__(self):
-        if not is_integer(self.q):
-            raise FieldError(f"field order must be an integer, got {self.q!r}")
         # A numpy order is stored as a Python int, so to_json output stays serialisable.
-        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "q", check_integer(self.q, 2, None, "field order", FieldError))
         _check_order(self.q)
         if not is_prime(self.q):
             raise FieldError(f"field order must be a prime >= 2, got {self.q}")
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise FieldError("no inverse for zero")
-        return pow(a, -1, self.q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +181,8 @@ class FMatrix:
         """Parse {"q": int, "rows": [[int, ...], ...]}; any non-integer value is rejected.
 
         "rows": [] carries no width and parses as 0 x 0."""
+        if not (isinstance(obj, dict) and {"q", "rows"} <= obj.keys()):
+            raise DimensionError('a matrix must be an object with keys "q" and "rows"')
         q, rows = obj["q"], obj["rows"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise DimensionError("rows must be a list of lists")

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import is_integer, is_real
+from .fields import check_integer, check_integers, check_probability
 
 
 class InstanceError(ValueError):
@@ -94,9 +94,7 @@ class PliableInstance:
 
     def client_row(self, i: int) -> np.ndarray:
         """Client i's adjacency row; raises InstanceError unless i is an integer in [0, n)."""
-        if not is_integer(i) or not 0 <= i < self.n:
-            raise InstanceError(f"client index must be an integer in [0, {self.n}), got {i!r}")
-        return self.adjacency[i]
+        return self.adjacency[check_integer(i, 0, self.n, "client index", InstanceError)]
 
     def side_info(self, i: int) -> frozenset[int]:
         """S_i = {0..m-1} \\ R_i; raises InstanceError unless i is an integer in [0, n)."""
@@ -111,7 +109,14 @@ class PliableInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PliableInstance":
-        return build_instance(obj["m"], obj["requirements"])
+        """Parse {"m": int, "requirements": [[int, ...], ...]}; a duplicate index
+        within a client's list collapses ([1, 1] is R = {1})."""
+        if not (isinstance(obj, dict) and {"m", "requirements"} <= obj.keys()):
+            raise InstanceError('an instance must be an object with keys "m" and "requirements"')
+        reqs = obj["requirements"]
+        if not isinstance(reqs, list) or not all(isinstance(r, list) for r in reqs):
+            raise InstanceError("requirements must be a list of lists")
+        return build_instance(obj["m"], reqs)
 
     def to_text(self) -> str:
         """Line format: "m n" header, then one line of required indices per client."""
@@ -121,7 +126,8 @@ class PliableInstance:
 
     @classmethod
     def from_text(cls, text: str) -> "PliableInstance":
-        """Parse the line format; only blank lines may follow the n-th client line."""
+        """Parse the line format; only blank lines may follow the n-th client line,
+        and a duplicate index within a line collapses ("1 1" is R = {1})."""
         # The newline ending the last line starts no line of its own.
         lines = text.removesuffix("\n").split("\n")
         if not lines or not lines[0].strip():
@@ -130,8 +136,7 @@ class PliableInstance:
             m, n = (int(t) for t in lines[0].split())
         except ValueError as exc:
             raise InstanceError(f"bad header line {lines[0]!r}") from exc
-        if n < 0:
-            raise InstanceError(f"client count must be >= 0, got {n}")
+        check_integer(n, 0, None, "client count", InstanceError)
         body = lines[1 : n + 1]
         if len(body) < n:
             raise InstanceError(f"expected {n} client lines, got {len(body)}")
@@ -164,16 +169,15 @@ def build_instance(m: int, requirements: Sequence[Iterable[int]]) -> PliableInst
     m and every index must be integers (bool, float and str are rejected,
     never truncated).
     """
-    if not is_integer(m) or m < 0:
-        raise InstanceError(f"message count must be an integer >= 0, got {m!r}")
+    m = check_integer(m, 0, None, "message count", InstanceError)
     rows = [list(r) for r in requirements]
-    adj = np.zeros((len(rows), int(m)), dtype=bool)
+    try:
+        adj = np.zeros((len(rows), m), dtype=bool)
+    except (ValueError, MemoryError) as exc:
+        raise InstanceError(f"no room for {len(rows)} clients x {m} messages: {exc}") from exc
     for i, r in enumerate(rows):
-        for j in r:
-            if not is_integer(j):
-                raise InstanceError(f"client {i}: message index must be an integer, got {j!r}")
-            if not 0 <= j < m:
-                raise InstanceError(f"client {i}: message index {j} out of range [0, {m})")
+        if r:
+            check_integers(r, 0, m, f"client {i}: message index", InstanceError)
         adj[i, r] = True
     return PliableInstance(adj)
 
@@ -185,10 +189,7 @@ def seed_entries(seed, error: type[ValueError]) -> list[int]:
     An int seeds a generator exactly as the one-entry list does.
     """
     entries = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    for x in entries:
-        if not is_integer(x) or x < 0:
-            raise error(f"seed entries must be integers >= 0, got {x!r}")
-    return [int(x) for x in entries]
+    return [check_integer(x, 0, None, "seed entries", error) for x in entries]
 
 
 def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
@@ -198,10 +199,9 @@ def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
     may be an int or a sequence of ints, each >= 0. Identical (n, m, p, seed)
     always yields the identical instance.
     """
-    if not (is_integer(n) and is_integer(m)) or n < 1 or m < 1:
-        raise InstanceError(f"need integers n, m >= 1, got n={n!r}, m={m!r}")
-    if not is_real(p) or not 0.0 <= p <= 1.0:
-        raise InstanceError(f"edge probability must be a number in [0, 1], got {p!r}")
+    n = check_integer(n, 1, None, "need integers n, m >= 1: n", InstanceError)
+    m = check_integer(m, 1, None, "need integers n, m >= 1: m", InstanceError)
+    check_probability(p, "edge probability", InstanceError)
     rng = np.random.default_rng(seed_entries(seed, InstanceError))
     # Row blocks of about 2^16 draws, taken in order from one generator, give
     # the bits of a single rng.random((n, m)) < p without its n x m floats.
@@ -215,8 +215,7 @@ def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
 
 def all_pairs_instance(m: int) -> PliableInstance:
     """One client per singleton {j} and one per pair {j1, j2}; n = m + C(m, 2)."""
-    if not is_integer(m) or m < 2:
-        raise InstanceError(f"all-pairs family needs an integer m >= 2, got {m!r}")
+    check_integer(m, 2, None, "all-pairs m", InstanceError)
     return build_instance(m, [(j,) for j in range(m)] + list(itertools.combinations(range(m), 2)))
 
 

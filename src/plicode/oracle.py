@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .decoding import is_valid_code
-from .fields import FieldSpec, FMatrix, column_words, essential, is_integer
+from .fields import FieldSpec, FMatrix, check_integer, column_words, essential
 from .instances import PliableInstance, all_pairs_instance
 
 
@@ -114,7 +114,7 @@ def optimal_code_length(instance: PliableInstance, q: int, max_K: int) -> Search
     nominal space q^(K * m) exceeds MAX_MATRICES without having found a
     code yet. value is None when no code of length <= max_K exists.
     """
-    _check_cap("max_K", max_K)
+    check_integer(max_K, 0, None, "max_K", ValueError)
     spec = FieldSpec(q)
     q = spec.q  # a Python int, so q ** (k * m) below cannot wrap
     t0 = time.perf_counter()
@@ -172,7 +172,7 @@ def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResul
     inside R_i and zeros on the rest of R_i (coordinates outside R_i are
     unconstrained). Raises BudgetError when more than MAX_SUBSPACES
     subspaces have dimension 1..max_r."""
-    _check_cap("max_r", max_r)
+    check_integer(max_r, 0, None, "max_r", ValueError)
     spec = FieldSpec(q)
     q = spec.q  # a Python int, so the subspace count below cannot wrap
     t0 = time.perf_counter()
@@ -216,8 +216,7 @@ DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 def min_field_for_length2(m: int) -> int | None:
     """Smallest prime q in DEFAULT_PRIMES admitting a length-2 code for the
     all-pairs instance on m messages; None if none of them works."""
-    if not is_integer(m) or m < 3:
-        raise ValueError(f"need an integer m >= 3, got {m!r}")
+    check_integer(m, 3, None, "m", ValueError)
     instance = all_pairs_instance(m)
     for q in DEFAULT_PRIMES:
         res = optimal_code_length(instance, q, max_K=2)
@@ -229,28 +228,15 @@ def min_field_for_length2(m: int) -> int | None:
 def count_pairwise_independent(q: int) -> int:
     """Maximum number of pairwise linearly independent nonzero vectors in F_q^2.
 
-    Counted by exhaustive enumeration of direction classes (one
-    representative per class, first nonzero coordinate normalized to 1) and
-    cross-checked against the closed form 2 + (q - 1)."""
-    spec = FieldSpec(q)
+    Counted by exhaustive enumeration of direction classes: one
+    representative per class, first nonzero coordinate normalized to 1."""
+    q = FieldSpec(q).q
     directions = set()
-    for x in range(q):
-        for y in range(q):
-            if x == 0 and y == 0:
-                continue
-            lead = x if x != 0 else y
-            inv = spec.inv(lead)
-            directions.add((spec.mul(x, inv), spec.mul(y, inv)))
-    count = len(directions)
-    if count != 2 + (q - 1):
-        raise OracleError(f"direction count {count} disagrees with 2+(q-1) for q={q}")
-    return count
-
-
-def _check_cap(name: str, value) -> None:
-    # A bool cap would search only length 1, a negative one nothing.
-    if not is_integer(value) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    for x, y in itertools.product(range(q), repeat=2):
+        if x or y:
+            inv = pow(x or y, -1, q)
+            directions.add((x * inv % q, y * inv % q))
+    return len(directions)
 
 
 def _ms(t0: float) -> float:

@@ -21,7 +21,7 @@ from plicode.bingreedy import (
 )
 from plicode.decoding import is_valid_code
 from plicode.fields import FieldSpec, in_span
-from plicode.instances import adjacency_matrix, build_instance, random_instance
+from plicode.instances import InstanceError, adjacency_matrix, build_instance, random_instance
 from test_reports import _band_index
 
 
@@ -225,6 +225,18 @@ class TestSortAndGroup:
         with pytest.raises(ValueError):
             sort_and_group(demo_instance, set())
 
+    @pytest.mark.parametrize("active", [{-1}, {7}, {1.0}, {True}], ids=["negative", "n", "float", "bool"])
+    def test_bad_active_client_rejected(self, demo_instance, active):
+        # -1 was read as client n-1; 7 and 1.0 raised numpy's IndexError.
+        with pytest.raises(InstanceError, match="active client"):
+            sort_and_group(demo_instance, active)
+
+    @pytest.mark.parametrize("threshold_n", [-3, 0, True, 2.5])
+    def test_bad_threshold_rejected(self, demo_instance, threshold_n):
+        # -3 and True gave groups; 2.5 raised AttributeError.
+        with pytest.raises(ValueError, match="threshold_n"):
+            sort_and_group(demo_instance, {0, 1}, threshold_n=threshold_n)
+
 
 class TestGreedyAssign:
     def test_singleton_group(self, demo_instance):
@@ -274,6 +286,17 @@ class TestGreedyAssign:
     def test_empty_group_rejected(self, demo_instance):
         with pytest.raises(ValueError):
             greedy_assign(demo_instance, [], {})
+
+    @pytest.mark.parametrize("group", [[True], [-1], [3], [0.0]], ids=["bool", "negative", "m", "float"])
+    def test_bad_group_message_rejected(self, demo_instance, group):
+        # [True] returned a code; -1 and 3 reached numpy's IndexError.
+        with pytest.raises(InstanceError, match="group message"):
+            greedy_assign(demo_instance, group, {j: frozenset() for j in group})
+
+    def test_message_missing_from_eff_rejected(self, demo_instance):
+        # It raised KeyError.
+        with pytest.raises(ValueError, match=r"group messages \[1\]"):
+            greedy_assign(demo_instance, [0, 1], {0: frozenset({0})})
 
 
 class TestRunRound:

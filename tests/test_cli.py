@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from plicode import cli
+from plicode import cli, instances
 from plicode.bench import BenchmarkError
 from plicode.bingreedy import EncoderStallError
 from plicode.cli import main
@@ -281,6 +281,43 @@ class TestExitCodes:
                    "--matrix-out", str(tmp_path / "m.json")])
         assert rc == 3
         assert "error: internal:" in capsys.readouterr().err
+
+    def test_library_bug_while_parsing_exits_3(self, monkeypatch, tmp_path, demo_file, capsys):
+        # It exited 2, as if the instance file were malformed.
+        def fail(*args):
+            raise RuntimeError("library bug")
+
+        monkeypatch.setattr(instances, "build_instance", fail)
+        mat = tmp_path / "mat.json"
+        mat.write_text(json.dumps({"q": 2, "rows": [[1, 0, 0]]}))
+        assert main(["verify", "--instance", demo_file, "--matrix", str(mat)]) == 3
+        assert "error: internal: library bug" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["encode", "--alg", "bingreedy", "--q", "3"], "--q"),
+            (["encode", "--alg", "randomized", "--max-k", "1"], "--max-k"),
+            (["encode", "--alg", "bingreedy", "--stopping", "cumulative"], "--stopping"),
+            (["encode", "--alg", "optimal", "--use-original-n"], "--use-original-n"),
+            (["encode", "--alg", "bingreedy", "--seed", "3"], "--seed"),
+            (["gen", "all-pairs", "--m", "4", "--n", "7"], "--n"),
+            (["gen", "all-pairs", "--m", "4", "--p", "5"], "--p"),
+            (["gen", "all-pairs", "--m", "4", "--seed", "3"], "--seed"),
+        ],
+        ids=["encode-q", "encode-max-k", "encode-stopping", "encode-use-original-n",
+             "encode-seed", "gen-n", "gen-p", "gen-seed"],
+    )
+    def test_flag_another_choice_reads_exits_2(self, tmp_path, demo_file, capsys, argv, flag):
+        # Each exited 0 with the flag ignored.
+        out = tmp_path / "out"
+        if argv[0] == "encode":
+            argv = argv + ["--instance", demo_file, "--matrix-out", str(out)]
+        else:
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: {flag} applies only to" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_matrix_width_mismatch_exits_2(self, tmp_path, demo_file, capsys):
         mat = tmp_path / "mat.json"

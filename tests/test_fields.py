@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from plicode.fields import (
     MAX_ORDER,
+    DimensionError,
     FieldError,
     FieldSpec,
     FMatrix,
@@ -65,19 +66,6 @@ def gf2_matrices(draw):
 
 
 class TestArithmetic:
-    def test_inverse(self):
-        assert FieldSpec(3).inv(2) == 2
-
-    def test_inverse_of_zero_errors(self):
-        with pytest.raises(FieldError, match="no inverse for zero"):
-            FieldSpec(2).inv(0)
-
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    def test_inverse_roundtrip(self, q):
-        spec = FieldSpec(q)
-        for a in range(1, q):
-            assert spec.mul(a, spec.inv(a)) == 1
-
     @pytest.mark.parametrize("q", [0, 1, 4, 6, 9])
     def test_composite_order_rejected(self, q):
         with pytest.raises(FieldError):
@@ -143,6 +131,16 @@ class TestFMatrix:
     )
     def test_json_non_integer_rejected(self, obj):
         with pytest.raises(FieldError, match="integer"):
+            FMatrix.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[[1, 0]], {"q": 2}, {"rows": [[1, 0]]}, {"q": 2, "rows": [1, 0]}],
+        ids=["not-a-dict", "no-rows", "no-q", "flat-list"],
+    )
+    def test_json_wrong_structure_rejected(self, obj):
+        # The first three raised TypeError or KeyError.
+        with pytest.raises(DimensionError):
             FMatrix.from_json(obj)
 
     @pytest.mark.parametrize(

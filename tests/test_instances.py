@@ -395,6 +395,35 @@ class TestSerialization:
         with pytest.raises(InstanceError):
             PliableInstance.from_text("3 1\n1.9\n")
 
+    def test_json_duplicates_collapse(self):
+        # Canonicalisation, as in build_instance: [1, 1] is R = {1}.
+        inst = PliableInstance.from_json({"m": 3, "requirements": [[1, 1], [2, 0, 2]]})
+        assert inst.to_json() == {"m": 3, "requirements": [[1], [0, 2]]}
+
+    def test_text_duplicates_collapse(self):
+        inst = PliableInstance.from_text("3 2\n1 1\n2 0 2\n")
+        assert inst.to_text() == "3 2\n1\n0 2\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[0], [1]],
+            {"m": 3},
+            {"requirements": [[0]]},
+            {"m": 3, "requirements": [0, 1]},
+            {"m": 3, "requirements": "01"},
+        ],
+        ids=["not-a-dict", "no-requirements", "no-m", "flat-list", "string"],
+    )
+    def test_json_wrong_structure_rejected(self, obj):
+        # All but the string raised KeyError or TypeError.
+        with pytest.raises(InstanceError):
+            PliableInstance.from_json(obj)
+
+    def test_unallocatable_message_count_rejected(self):
+        with pytest.raises(InstanceError, match="no room"):
+            build_instance(10**30, [[0]])
+
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -30,7 +30,6 @@ from plicode import (
     bingreedy,
     build_instance,
     decode_value,
-    in_span,
     instance_hash,
     is_valid_code,
     minrank_fitted,
@@ -39,7 +38,7 @@ from plicode import (
     satisfied_set,
 )
 from plicode.cli import main
-from plicode.fields import MAX_ORDER
+from plicode.fields import MAX_ORDER, in_span
 
 SETTINGS = settings(derandomize=True, deadline=None)
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a plicode module imports is used in it, the
 package exports exactly the names its __init__.py imports, only fields
-compares a field order with 2, and the values a caller can set are pinned.
+compares a field order with 2 or uses the type predicates behind its input
+checks, and the values a caller can set are pinned.
 
 __init__.py is skipped by the unused-import check, since its imports are
 the package's re-exports.
@@ -88,6 +89,35 @@ def test_detects_a_field_order_comparison():
 def test_only_fields_branches_on_the_field_order(path):
     # fields alone chooses between the F_2 and the q > 2 column formats.
     assert field_order_comparisons(path.read_text()) == []
+
+
+def type_predicate_uses(source: str) -> list[str]:
+    """Lines that import, call or name fields.is_integer or fields.is_real."""
+    names = {"is_integer", "is_real"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and names & {a.name for a in node.names}:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in names and ast.unparse(node.value) == "fields":
+            found.add(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detects_a_type_predicate_use():
+    src = (
+        "from .fields import is_integer\nok = is_integer(x)\n"
+        "also = fields.is_real(p)\nfine = (2.0).is_integer()\n"
+    )
+    assert type_predicate_uses(src) == ["line 1", "line 2", "line 3"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"], ids=lambda p: p.name)
+def test_only_fields_uses_the_type_predicates(path):
+    # Other modules check numbers through fields.check_integer and its twins,
+    # so each rule and its message have one home.
+    assert type_predicate_uses(path.read_text()) == []
 
 
 # Every defaulted parameter of a public function or method, and every field

@@ -133,9 +133,11 @@ def greedy_assign(
     vectors against the currently satisfied clients connected to the
     message, keeps the maximizer, drops newly broken clients from SAT,
     and promotes the message's effective clients to SAT. group must be a
-    nonempty list of messages in [0, m), each of them a key of eff.
+    nonempty list of distinct messages in [0, m), each of them a key of eff.
     """
     check_integers(group, 0, instance.m, "group message", InstanceError)
+    if len(set(group)) < len(group):
+        raise ValueError(f"group repeats messages {sorted({j for j in group if group.count(j) > 1})}")
     missing = [j for j in group if j not in eff]
     if missing:
         raise ValueError(f"eff lacks the effective clients of group messages {missing}")

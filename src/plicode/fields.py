@@ -148,6 +148,8 @@ class FMatrix:
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, q: int) -> "FMatrix":
+        n_rows = check_integer(n_rows, 0, None, "row count", DimensionError)
+        n_cols = check_integer(n_cols, 0, None, "column count", DimensionError)
         return cls(np.zeros((n_rows, n_cols), dtype=np.int64), FieldSpec(q))
 
     @property

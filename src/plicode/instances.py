@@ -30,10 +30,11 @@ class PliableInstance:
     is in R_i. It must be a 2-D bool array; it is never cast, is copied only
     if it is a view, and is made read-only. Three views are derived from it
     once each, on first use: `clients_by_message` (message-major, for the
-    encoders), `messages_by_client` (client-major, for sweeps over every
-    client and the randomized encoder's nearly satisfied bins) and
-    `requirements[i]` (a frozenset). Readers of one client read its
-    adjacency row instead. S_i = {0..m-1} \\ R_i is never stored.
+    encoders), `messages_by_client` (client-major CSR, for the decoding
+    sweep and the randomized encoder's bins) and `requirements[i]` (R_i as
+    an increasing tuple of Python ints, for sweeps over every client).
+    Readers of one client read its adjacency row instead.
+    S_i = {0..m-1} \\ R_i is never stored.
     Clients with an empty R_i are kept but vacuously satisfied and excluded
     from every active set. Equality compares shape and contents; instances
     are not hashable.
@@ -80,17 +81,13 @@ class PliableInstance:
         """
         return _compressed_rows(self.adjacency)
 
-    def requirement_lists(self) -> list[list[int]]:
-        """Per client, R_i in increasing order: Python lists cut from the CSR
-        view on each call, for sweeps over every client."""
+    @functools.cached_property
+    def requirements(self) -> tuple[tuple[int, ...], ...]:
+        """Per client, R_i as a tuple of Python ints in increasing order, cut
+        once from the CSR view: the form every sweep over all clients reads."""
         indptr, indices = self.messages_by_client
         bounds, cols = indptr.tolist(), indices.tolist()
-        return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    @functools.cached_property
-    def requirements(self) -> tuple[frozenset[int], ...]:
-        """Per client, R_i as a frozenset."""
-        return tuple(frozenset(r) for r in self.requirement_lists())
+        return tuple(tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def client_row(self, i: int) -> np.ndarray:
         """Client i's adjacency row; raises InstanceError unless i is an integer in [0, n)."""
@@ -105,7 +102,7 @@ class PliableInstance:
         return np.flatnonzero(self.adjacency.any(axis=1)).tolist()
 
     def to_json(self) -> dict:
-        return {"m": self.m, "requirements": self.requirement_lists()}
+        return {"m": self.m, "requirements": [list(r) for r in self.requirements]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PliableInstance":
@@ -121,7 +118,7 @@ class PliableInstance:
     def to_text(self) -> str:
         """Line format: "m n" header, then one line of required indices per client."""
         lines = [f"{self.m} {self.n}"]
-        lines += [" ".join(map(str, r)) for r in self.requirement_lists()]
+        lines += [" ".join(map(str, r)) for r in self.requirements]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -78,7 +78,7 @@ def _search_fixed_length(
     # Per column, the key getters of the clients whose last required column
     # it is; itemgetter of one index returns it bare, so that key is wrapped.
     finish: list[list[Callable]] = [[] for _ in range(m)]
-    for req in filter(None, instance.requirement_lists()):
+    for req in filter(None, instance.requirements):
         j = req[0]
         finish[req[-1]].append(itemgetter(*req) if len(req) > 1 else lambda c, j=j: (c[j],))
     n_options = len(options)

@@ -93,8 +93,6 @@ def randomized_code(
     indptr, indices = instance.clients_by_message
     bounds = indptr.tolist()  # Python-int slice bounds; numpy scalars cost more per slice
     client_ptr, client_msgs = instance.messages_by_client
-    if stopping == "cumulative":
-        required = instance.requirement_lists()
     n, m = instance.n, instance.m
     all_rows: list[np.ndarray] = []
     bin_records: list[BinRecord] = []
@@ -111,7 +109,7 @@ def randomized_code(
         else:
             # Column j of this bin's rows, packed as words[j] with row r at bit r.
             words = [0] * m
-            reqs = [required[i] for i in clients]
+            reqs = [instance.requirements[i] for i in clients]
         while unsat.any():
             if len(rows) >= MAX_ROWS_PER_BIN:
                 raise RandomizedCapError(

@@ -298,6 +298,12 @@ class TestGreedyAssign:
         with pytest.raises(ValueError, match=r"group messages \[1\]"):
             greedy_assign(demo_instance, [0, 1], {0: frozenset({0})})
 
+    def test_repeated_group_message_rejected(self):
+        # It returned two coding vectors for message 0.
+        inst = random_instance(20, 6, 0.4, seed=1)
+        with pytest.raises(ValueError, match=r"group repeats messages \[0\]"):
+            greedy_assign(inst, [0, 2, 0], {0: frozenset({1}), 2: frozenset()})
+
 
 class TestRunRound:
     """One round of bingreedy, read from its matrix and report."""

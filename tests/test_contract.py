@@ -1,12 +1,13 @@
 """Contract: every public entry point fails closed on a malformed number.
 
-The walk over plicode.__all__ finds every parameter annotated as an int, a
-float or a collection of ints; CONTRACTS gives one valid call per callable
-and each such parameter's accepted range (plus the unannotated seeds). Every
-parameter gets bool, float, negative, out-of-range and NaN variants, and
-each must raise a ValueError subclass from inside plicode: never return,
-and never raise IndexError, KeyError, AttributeError or TypeError. A numpy
-scalar must give the plain call's result. The record classes the library
+The walk over plicode.__all__ and the public classmethods of its classes
+finds every parameter annotated as an int, a float or a collection of ints;
+CONTRACTS gives one valid call per callable and each such parameter's
+accepted range (plus the unannotated seeds). Every parameter gets bool,
+float, negative, out-of-range and NaN variants, and each must raise a
+ValueError subclass from inside plicode: never return, and never raise
+IndexError, KeyError, AttributeError or TypeError. A numpy scalar must
+give the plain call's result. The record classes the library
 builds for its callers are not entry points and are skipped.
 """
 
@@ -47,6 +48,25 @@ ACTIVE = {i for i in INST.non_vacuous_clients() if i >= 2}
 SORTED = sort_and_group(INST, set(INST.non_vacuous_clients()))
 FIELD_ORDERS = (2, MAX_ORDER + 1)
 
+
+def entry(name):
+    """The public callable named "f" or "Class.method"."""
+    return functools.reduce(getattr, name.split("."), plicode)
+
+
+def entry_points() -> list[str]:
+    """The names in plicode.__all__ but the records, and "Class.method" for
+    each public classmethod of the classes among them."""
+    names = []
+    for name in sorted(set(plicode.__all__) - RECORDS):
+        names.append(name)
+        obj = getattr(plicode, name)
+        if isinstance(obj, type):
+            names += [f"{name}.{attr}" for attr, raw in vars(obj).items()
+                      if not attr.startswith("_") and isinstance(raw, classmethod)]
+    return names
+
+
 # Per public callable: the keyword arguments of one valid call, and per
 # numeric parameter its accepted range: [lo, hi) for integers (hi None: no
 # upper bound), [lo, hi] for reals.
@@ -55,6 +75,11 @@ CONTRACTS = {
         dict(n_values=(10,), p=0.3, instances=1, base_seed=0, m_fixed=4),
         {"n_values": (1, None), "p": (0, 1), "instances": (1, None),
          "base_seed": (0, None), "m_fixed": (1, None)},
+    ),
+    "FMatrix.from_rows": (dict(rows=[[1, 0, 2], [0, 1, 1]], q=3), {"q": FIELD_ORDERS}),
+    "FMatrix.zeros": (
+        dict(n_rows=2, n_cols=3, q=3),
+        {"n_rows": (0, None), "n_cols": (0, None), "q": FIELD_ORDERS},
     ),
     "FieldSpec": (dict(q=3), {"q": FIELD_ORDERS}),
     "all_pairs_instance": (dict(m=3), {"m": (2, None)}),
@@ -117,14 +142,14 @@ def test_kind_reads_the_annotations():
 
 def test_every_numeric_parameter_has_a_contract():
     missing = {}
-    for name in sorted(set(plicode.__all__) - RECORDS):
-        found = set(numeric_parameters(getattr(plicode, name)))
+    for name in entry_points():
+        found = set(numeric_parameters(entry(name)))
         covered = set(CONTRACTS[name][1]) if name in CONTRACTS else set()
         if found - covered:
             missing[name] = sorted(found - covered)
-    assert missing == {}
+    assert missing == {} and set(CONTRACTS) <= set(entry_points())
     for name, (kwargs, ranges) in CONTRACTS.items():
-        assert set(ranges) <= set(kwargs) <= set(inspect.signature(getattr(plicode, name)).parameters)
+        assert set(ranges) <= set(kwargs) <= set(inspect.signature(entry(name)).parameters)
 
 
 def canonical(result):
@@ -141,7 +166,7 @@ def canonical(result):
 @functools.cache
 def plain_result(name):
     kwargs, _ = CONTRACTS[name]
-    return canonical(getattr(plicode, name)(**kwargs))
+    return canonical(entry(name)(**kwargs))
 
 
 def replace_member(value, new):
@@ -184,14 +209,14 @@ def bad_values(value_kind, lo, hi):
 
 def param_kind(name, param):
     # The seeds are unannotated and take integers.
-    return numeric_parameters(getattr(plicode, name)).get(param, "int")
+    return numeric_parameters(entry(name)).get(param, "int")
 
 
 def call_with(name, param, value):
     kwargs, _ = CONTRACTS[name]
     if param_kind(name, param) == "indices":
         value = replace_member(kwargs[param], value)
-    return getattr(plicode, name)(**{**kwargs, param: value})
+    return entry(name)(**{**kwargs, param: value})
 
 
 BAD_CASES = [
@@ -223,5 +248,5 @@ def test_numpy_scalar_gives_the_plain_result(name, param, data):
     real = param_kind(name, param) == "real"
     dtype = np.float64 if real else data.draw(st.sampled_from(INT_TYPES), label="dtype")
     value = to_numpy(kwargs[param], dtype)
-    result = getattr(plicode, name)(**{**kwargs, param: value})
+    result = entry(name)(**{**kwargs, param: value})
     assert canonical(result) == plain_result(name)

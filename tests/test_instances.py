@@ -26,19 +26,19 @@ class TestBuildInstance:
     def test_demo_instance_shape(self, demo_instance):
         assert demo_instance.m == 3
         assert demo_instance.n == 7
-        assert demo_instance.requirements[3] == frozenset({0, 1})
+        assert demo_instance.requirements[3] == (0, 1)
 
     def test_trivial_single_edge(self):
         inst = build_instance(1, [{0}])
-        assert inst.n == 1 and inst.requirements[0] == frozenset({0})
+        assert inst.n == 1 and inst.requirements[0] == (0,)
 
     def test_out_of_range_index(self):
         with pytest.raises(InstanceError, match="out of range"):
             build_instance(2, [{0, 5}])
 
     def test_duplicates_collapse(self):
-        inst = build_instance(3, [[1, 1, 2]])
-        assert inst.requirements[0] == frozenset({1, 2})
+        inst = build_instance(3, [[2, 1, 1]])
+        assert inst.requirements[0] == (1, 2)
 
     def test_side_info_is_complement(self, demo_instance):
         assert demo_instance.side_info(0) == frozenset({1, 2})
@@ -90,7 +90,7 @@ class TestConstructor:
         a = random_instance(40, 9, 0.3, seed=7)
         b = build_instance(9, [sorted(r, reverse=True) for r in a.requirements])
         assert a == b and instance_hash(a) == instance_hash(b)
-        c = build_instance(9, [*b.requirement_lists()[:-1], [0, 1, 2]])
+        c = build_instance(9, [*b.requirements[:-1], [0, 1, 2]])
         assert a != c and instance_hash(a) != instance_hash(c)
 
     def test_not_hashable(self, demo_instance):
@@ -101,11 +101,11 @@ class TestConstructor:
 class TestRandomInstance:
     def test_p_zero_all_empty(self):
         inst = random_instance(5, 3, 0.0, seed=7)
-        assert all(r == frozenset() for r in inst.requirements)
+        assert inst.requirements == ((),) * 5
 
     def test_p_one_all_full(self):
         inst = random_instance(5, 3, 1.0, seed=7)
-        assert all(r == frozenset({0, 1, 2}) for r in inst.requirements)
+        assert inst.requirements == ((0, 1, 2),) * 5
 
     def test_density_near_p(self):
         inst = random_instance(100, 32, 0.3, seed=1)
@@ -260,8 +260,15 @@ class TestAdjacency:
     )
     def test_requirements_match_rows(self, inst):
         rows = [np.flatnonzero(row).tolist() for row in adjacency_matrix(inst)]
-        assert inst.requirement_lists() == rows
-        assert list(inst.requirements) == [frozenset(r) for r in rows]
+        reqs = inst.requirements
+        assert reqs == tuple(map(tuple, rows))
+        assert inst.requirements is reqs and all(type(r) is tuple for r in reqs)
+        # to_json hands out fresh lists: editing them leaves the instance as it was.
+        listed = inst.to_json()["requirements"]
+        assert listed == rows and all(type(r) is list for r in listed)
+        for r in listed:
+            r.append(-1)
+        assert inst.to_json()["requirements"] == rows and inst.requirements == reqs
 
 
 class TestClientsByMessage:
@@ -389,7 +396,7 @@ class TestSerialization:
             PliableInstance.from_text("3 1\n0\n1\n2\n")
 
     def test_text_trailing_blank_lines_allowed(self):
-        assert PliableInstance.from_text("3 1\n0 2\n\n  \n").requirements == (frozenset({0, 2}),)
+        assert PliableInstance.from_text("3 1\n0 2\n\n  \n").requirements == ((0, 2),)
 
     def test_text_non_integer_index_rejected(self):
         with pytest.raises(InstanceError):

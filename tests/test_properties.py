@@ -168,7 +168,7 @@ def mutated_files(draw, target, kind):
     """(instance file text, matrix file text) for an instance and its BinGreedy
     code, with the target file made malformed by one mutation of the kind."""
     inst = draw(instances())
-    m, reqs = inst.m, inst.requirement_lists()
+    m, reqs = inst.m, inst.to_json()["requirements"]
     matrix = bingreedy(inst)[0].to_json()
     q, rows = matrix["q"], matrix["rows"]
     if target != "matrix" and kind != "truncate":

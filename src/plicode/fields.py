@@ -150,7 +150,12 @@ class FMatrix:
     def zeros(cls, n_rows: int, n_cols: int, q: int) -> "FMatrix":
         n_rows = check_integer(n_rows, 0, None, "row count", DimensionError)
         n_cols = check_integer(n_cols, 0, None, "column count", DimensionError)
-        return cls(np.zeros((n_rows, n_cols), dtype=np.int64), FieldSpec(q))
+        field = FieldSpec(q)
+        try:
+            entries = np.zeros((n_rows, n_cols), dtype=np.int64)
+        except (ValueError, MemoryError) as exc:
+            raise DimensionError(f"no room for a {n_rows} x {n_cols} matrix: {exc}") from exc
+        return cls(entries, field)
 
     @property
     def n_rows(self) -> int:

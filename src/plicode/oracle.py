@@ -2,15 +2,18 @@
 and the field-size threshold for the all-pairs instance family.
 
 The two main searches are deliberately independent of each other:
-optimal_code_length enumerates coding matrices column by column with
+optimal_code_length enumerates canonical coding matrices (reduced echelon,
+non-pivot columns scaled to a first nonzero entry of 1; client verdicts
+survive A -> G A D, so nothing is lost) column by column with
 client-complete pruning (each client verdict is memoised on the options at
 its required columns), while minrank_fitted enumerates low-dimensional
 subspaces through canonical reduced-echelon bases and tests all clients
 against each one at once. The length search judges clients on
 fields.essential, which takes every prime q in one column format, so
 nothing here branches on the field order. Witnesses are always re-verified
-through the decodability engine before being returned. MAX_MATRICES and
-MAX_SUBSPACES bound the two enumerations.
+through the decodability engine before being returned. MAX_MATRICES bounds
+the canonical codes of each length level the length search enters, and
+MAX_SUBSPACES the subspaces minrank_fitted may enumerate.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .fields import FieldSpec, FMatrix, check_integer, column_words, essential
 from .instances import PliableInstance, all_pairs_instance
 
 
-MAX_MATRICES = 10**9  # optimal_code_length's budget on q^(K * m) per length level
+MAX_MATRICES = 10**9  # optimal_code_length's budget on canonical codes per length level
 MAX_SUBSPACES = 10**6  # minrank_fitted's budget on subspaces of dimension 1..max_r
 
 
@@ -58,36 +61,79 @@ class SearchResult:
         }
 
 
+def _canonical_options(q: int, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The columns of canonical k-row codes over F_q, and per pivot count r
+    the number of them supported on rows < r.
+
+    Ids run: the zero vector, then for b = 0..k-1 the vectors whose last
+    nonzero row is b and whose first nonzero entry is 1, e_b first. So the
+    ids below below[r] are supported on rows < r, and id below[r] is e_r.
+    """
+    options = [(0,) * k]
+    below = [1]
+    for b in range(k):
+        tail = (0,) * (k - b - 1)
+        for head in itertools.product(range(q), repeat=b):
+            lead = next((x for x in head if x), None)
+            if lead is None:
+                options.append(head + (1,) + tail)  # e_b
+            elif lead == 1:
+                options.extend(head + (c,) + tail for c in range(1, q))
+        below.append(len(options))
+    return options, below
+
+
+def _canonical_count(m: int, k: int, q: int) -> int:
+    """Number of canonical k x m codes over F_q (those _search_fixed_length
+    enumerates without pruning), by a DP over the pivots placed so far."""
+    below = [1 + (q**r - 1) // (q - 1) for r in range(k + 1)]
+    ways = [1] + [0] * k  # ways[r]: column prefixes with r pivots placed
+    for _ in range(m):
+        ways = [w * below[r] + (ways[r - 1] if r else 0) for r, w in enumerate(ways)]
+    return sum(ways)
+
+
 def _search_fixed_length(
     instance: PliableInstance, q: int, k: int, counter: list[int]
 ) -> np.ndarray | None:
-    """Backtracking over columns; exhaustive thanks to client-complete pruning.
+    """Backtracking over canonical codes; exhaustive thanks to client-complete pruning.
+
+    Whether a client decodes depends only on the span relations among its
+    required columns, which A -> G A D keeps for every invertible G and
+    nonzero diagonal D. Every k x m code is G-equivalent to its reduced
+    echelon form, and scaling a non-pivot column to a first nonzero entry of
+    1 keeps both the pivots and every client's verdict. So some valid code
+    exists iff a canonical one does: with r pivots placed, column j is the
+    zero vector, a vector supported on rows < r with first nonzero entry 1,
+    or (while r < k) the next pivot e_r.
 
     A client's satisfaction depends only on its own requirement columns, so
     it can be checked (and the branch pruned) as soon as its last required
-    column is assigned. Column col holds options[choice[col]], one of the
-    q^k vectors of F_q^k, and a client's verdict is a function of the
-    option indices at its required columns alone, so each distinct tuple of
-    indices is judged once per search, on plain ints, by fields.essential on
-    the options in column_words format.
+    column is assigned. Column col holds options[choice[col]], and a
+    client's verdict is a function of the option ids at its required
+    columns alone, so each distinct tuple of ids is judged once per search,
+    on plain ints, by fields.essential on the options in column_words format.
     """
     m = instance.m
-    # Lexicographic by integer value, first row most significant.
-    options = list(itertools.product(range(q), repeat=k))
+    options, below = _canonical_options(q, k)
     columns = column_words(np.array(options, dtype=np.int64).T, q)
+    # Options open with r pivots placed: those below[r] supported on rows < r,
+    # plus the new pivot e_r (id below[r]) while r < k.
+    limit = [n + (r < k) for r, n in enumerate(below)]
     # Per column, the key getters of the clients whose last required column
     # it is; itemgetter of one index returns it bare, so that key is wrapped.
     finish: list[list[Callable]] = [[] for _ in range(m)]
     for req in filter(None, instance.requirements):
         j = req[0]
         finish[req[-1]].append(itemgetter(*req) if len(req) > 1 else lambda c, j=j: (c[j],))
-    n_options = len(options)
     verdicts: dict[tuple[int, ...], bool] = {}
     choice = [-1] * m  # -1: no option tried yet at this column
+    pivots = [0] * (m + 1)  # pivots[col]: pivots placed in columns < col
     col = 0
     while col < m:
+        r = pivots[col]
         t = choice[col] + 1
-        if t == n_options:
+        if t == limit[r]:
             choice[col] = -1
             col -= 1
             if col < 0:
@@ -103,6 +149,7 @@ def _search_fixed_length(
             if not ok:
                 break
         else:
+            pivots[col + 1] = r + (t == below[r])
             col += 1
     return np.array([options[t] for t in choice], dtype=np.int64).T
 
@@ -110,21 +157,22 @@ def _search_fixed_length(
 def optimal_code_length(instance: PliableInstance, q: int, max_K: int) -> SearchResult:
     """Smallest K <= max_K admitting a valid K x m code over F_q.
 
-    Raises BudgetError when the search must enter a length level whose
-    nominal space q^(K * m) exceeds MAX_MATRICES without having found a
-    code yet. value is None when no code of length <= max_K exists.
+    Raises BudgetError when the search must enter a length level with more
+    than MAX_MATRICES canonical codes without having found a code yet.
+    value is None when no code of length <= max_K exists.
     """
     check_integer(max_K, 0, None, "max_K", ValueError)
     spec = FieldSpec(q)
-    q = spec.q  # a Python int, so q ** (k * m) below cannot wrap
+    q = spec.q  # a Python int, so the canonical count below cannot wrap
     t0 = time.perf_counter()
     if not instance.non_vacuous_clients():
         return SearchResult(0, FMatrix.zeros(0, instance.m, q), 0, _ms(t0))
     counter = [0]
     for k in range(1, max_K + 1):
-        if q ** (k * instance.m) > MAX_MATRICES:
+        total = _canonical_count(instance.m, k, q)
+        if total > MAX_MATRICES:
             raise BudgetError(
-                f"search space q^(K*m) = {q}^{k * instance.m} exceeds budget {MAX_MATRICES}"
+                f"{total} canonical {k} x {instance.m} codes over F_{q} exceed budget {MAX_MATRICES}"
             )
         found = _search_fixed_length(instance, q, k, counter)
         if found is not None:

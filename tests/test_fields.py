@@ -115,6 +115,12 @@ class TestFMatrix:
         with pytest.raises(FieldError):
             FMatrix.from_rows([[0, 2]], 2)
 
+    @pytest.mark.parametrize("shape", [(10**30, 2), (2, 10**30)], ids=["rows", "cols"])
+    def test_zeros_unallocatable_shape_rejected(self, shape):
+        # numpy refuses this shape before allocating anything.
+        with pytest.raises(DimensionError, match="no room"):
+            FMatrix.zeros(*shape, 2)
+
     def test_json_roundtrip(self):
         m = FMatrix.from_rows([[1, 1, 1], [0, 1, 1], [1, 1, 0]], 2)
         assert m.to_json() == {"q": 2, "rows": [[1, 1, 1], [0, 1, 1], [1, 1, 0]]}

@@ -84,31 +84,31 @@ BENCH_SUMMARY_DIGEST = "1433afdb13f394a1204e1e7e6e5da14dce2188db8d909e7b327b7a44
 # (q, n, m, p, seed) -> (optimal_code_length digest, minrank_fitted digest), max length m
 ORACLE_DIGESTS = {
     (2, 20, 4, 0.5, 1): (
-        "87b6288459a7571cb6cc1e216c1dcfaa9ad583fd48b6902c0d57f633a56f6fdf",
+        "846d676a8a3a47a0475a57d4c8ef880c37618f77919f49786a2d650f44102ba3",
         "161dbbc6e1900f54ff4cf1321de91c3f62fcb3d6a9e267fd848ed942e3411de1",
     ),
     (2, 20, 4, 0.5, 2): (
-        "5cdb8934029d34c433fee99a0481579baaeb6ab3022e26af985eb61e7f2d14a6",
+        "2dda3af4afdfac3f2b5cd4d14fcf1d18a5272347f5e090247e6cba43315d31ef",
         "161dbbc6e1900f54ff4cf1321de91c3f62fcb3d6a9e267fd848ed942e3411de1",
     ),
     (3, 15, 4, 0.5, 1): (
-        "1bffc8b194e82c50ffe7b02e3b1254c439a129c993a0be9f5f08f6a80a074f77",
+        "caacb4d7954c7d86ce4a5a93ad5dd572419637b7c5ac6f0d8621344a16cc6457",
         "75c6a346cce08c087d77233c85dcab378a287bd193e82447e05a51bfdd52d3c3",
     ),
     (3, 15, 4, 0.5, 2): (
-        "968fab9777ad24c726662bc52fd192600ce739610b6396be0e4a97d3565b6cb8",
+        "3c242cb71c32208e6ba7ca4ce8078ba63e3ba20ff5d2de45eca11e59d57d2110",
         "d577da6844201814a1f9c239247747d13ee3a3f7cd496243913695206f306367",
     ),
     (5, 8, 3, 0.5, 1): (
-        "a57476490c16481d83bc8a8f404333a6bdac3d9d815fe77b852b30b891674ba6",
+        "f8d63724ce49b9f73554949ca847d12af5276884a334b0f05d28fa967c400b15",
         "a9388a033cd0695f8a5bccd93584cc496adf3798cc75141def1ebea884ab0e98",
     ),
 }
 # all-pairs m -> (min_field_for_length2(m), digest of the length-2 searches it runs)
 THRESHOLD_DIGESTS = {
-    4: (3, "8a5f12c0df7484c60eeabb25b183462f8ec4205f58ffe1641249b7d642594e13"),
-    5: (5, "52c59e347175a0d608e063a78ec8ca02462d8e4f78ea23849feb9819c5e398d1"),
-    6: (5, "ec37ef6fc0ce437973d12aaddb93c22bfda5f1760031582f033b2868c8ed85e7"),
+    4: (3, "a852d266a18cf7aa4de6a14a09549b24a00ba587eda530925a6d258f65faeee0"),
+    5: (5, "7ae2b74ab02c4c788c9a4a088d9b1e51254daf01d829c619575cce18d08cc4e6"),
+    6: (5, "64abcd0e30507fe7f8bd794e3a4c2b83db83c1eb9c85de6dc0f8164166f6d4d8"),
 }
 
 

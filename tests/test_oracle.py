@@ -7,7 +7,7 @@ import pytest
 
 from plicode import oracle
 from plicode.decoding import is_valid_code
-from plicode.fields import FieldError, FMatrix, essential_columns, rank_generic
+from plicode.fields import FieldError, FMatrix, _rref, essential_columns, rank_generic
 from plicode.instances import all_pairs_instance, build_instance, random_instance
 from plicode.oracle import (
     BudgetError,
@@ -111,7 +111,8 @@ class TestOptimalCodeLength:
         assert res.value == 0 and res.witness.n_rows == 0
 
     def test_budget_guard(self, quad_instance, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_MATRICES", 100)
+        # Level 2 at q = 3 holds 63 canonical 2 x 4 codes.
+        monkeypatch.setattr(oracle, "MAX_MATRICES", 50)
         with pytest.raises(BudgetError):
             optimal_code_length(quad_instance, q=3, max_K=20)
         # Budget is only consulted for levels the search actually enters.
@@ -149,9 +150,62 @@ class TestOptimalCodeLength:
         assert obj["K"] == 2 and obj["witness"]["q"] == 3
 
 
+def _matches_length_reference(inst, q, max_K):
+    # The canonical search finds the same length on a sparser tree: it may
+    # return another witness, and it never tries more options.
+    res = optimal_code_length(inst, q, max_K)
+    value, _, enumerated = reference_optimal_code_length(inst, q, max_K)
+    assert res.value == value
+    assert res.witness is None if value is None else is_valid_code(res.witness, inst)
+    assert res.enumerated <= enumerated
+
+
+def _canonical_form(a, q):
+    # Reduced echelon form, then each non-pivot column scaled to a first nonzero entry of 1.
+    r, pivots = _rref(a, q)
+    for j in set(range(a.shape[1])) - set(pivots):
+        nz = np.nonzero(r[:, j])[0]
+        if nz.size:
+            r[:, j] = r[:, j] * pow(int(r[nz[0], j]), -1, q) % q
+    return r
+
+
+class TestCanonicalCodes:
+    def test_counts(self):
+        assert oracle._canonical_count(4, 2, 3) == 63
+        assert oracle._canonical_count(7, 2, 7) == 85_520
+        assert oracle._canonical_count(64, 1, 2) == 2**64
+
+    @pytest.mark.parametrize("m,k,q", [(3, 2, 3), (4, 2, 2), (3, 3, 2), (2, 2, 5)])
+    def test_every_code_has_one_canonical_form_with_the_same_verdicts(self, m, k, q):
+        # The canonical forms of all q^(k*m) codes are exactly the codes the
+        # search may visit: as many as _canonical_count, each column an option
+        # open at its pivot count, and each with the original's essential
+        # columns on every column subset, so every client's verdict.
+        options, below = oracle._canonical_options(q, k)
+        ids = {v: t for t, v in enumerate(options)}
+        subsets = [list(s) for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
+        forms = set()
+        for entries in itertools.product(range(q), repeat=k * m):
+            a = np.array(entries, dtype=np.int64).reshape(k, m)
+            c = _canonical_form(a, q)
+            for s in subsets:
+                assert (essential_columns(c[:, s], q) == essential_columns(a[:, s], q)).all()
+            forms.add(tuple(map(tuple, c.T.tolist())))
+        assert len(forms) == oracle._canonical_count(m, k, q)
+        for form in forms:
+            r = 0
+            for col in form:
+                t = ids[col]
+                assert t < below[r] or (t == below[r] and r < k)
+                r += t == below[r]
+
+
 class TestMatchesReferenceSearches:
-    """The memoised length search and the all-clients minrank pass return the
-    same value, witness and enumeration count as the reference searches."""
+    """The canonical length search returns the reference search's value, a
+    valid witness and no more enumerated options; the all-clients minrank
+    pass returns the same value, witness and enumeration count as its
+    reference."""
 
     @pytest.mark.parametrize(
         "q,n,m,seeds",
@@ -168,9 +222,7 @@ class TestMatchesReferenceSearches:
     def test_seeded_random_instances(self, q, n, m, seeds):
         for seed in seeds:
             inst = random_instance(n, m, 0.5, seed=[17, q, seed])
-            assert _outcome(optimal_code_length(inst, q, max_K=3)) == (
-                reference_optimal_code_length(inst, q, 3)
-            )
+            _matches_length_reference(inst, q, 3)
             assert _outcome(minrank_fitted(inst, q, max_r=3)) == (
                 reference_minrank_fitted(inst, q, 3)
             )
@@ -179,9 +231,7 @@ class TestMatchesReferenceSearches:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_all_pairs_instances(self, m, q):
         inst = all_pairs_instance(m)
-        assert _outcome(optimal_code_length(inst, q, max_K=2)) == (
-            reference_optimal_code_length(inst, q, 2)
-        )
+        _matches_length_reference(inst, q, 2)
         if gaussian_binomial(m, 2, q) < 10**5:  # the per-client reference is slow
             assert _outcome(minrank_fitted(inst, q, max_r=2)) == (
                 reference_minrank_fitted(inst, q, 2)
@@ -247,6 +297,12 @@ class TestFieldSize:
 
     def test_min_field_m6(self):
         assert min_field_for_length2(6) == 5
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_min_field_m7_m8(self, m):
+        # 7^(2m) nominal 2 x m codes over F_7 (budget 10^9), but only 85,520
+        # canonical ones at m = 7.
+        assert min_field_for_length2(m) == 7
 
     def test_m_too_small(self):
         with pytest.raises(ValueError):

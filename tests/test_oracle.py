@@ -111,12 +111,13 @@ class TestOptimalCodeLength:
         assert res.value == 0 and res.witness.n_rows == 0
 
     def test_budget_guard(self, quad_instance, monkeypatch):
-        # Level 2 at q = 3 holds 63 canonical 2 x 4 codes.
+        # At q = 3, levels 1, 2 and 3 hold 16, 63 and 85 canonical k x 4 codes.
         monkeypatch.setattr(oracle, "MAX_MATRICES", 50)
         with pytest.raises(BudgetError):
             optimal_code_length(quad_instance, q=3, max_K=20)
-        # Budget is only consulted for levels the search actually enters.
-        monkeypatch.setattr(oracle, "MAX_MATRICES", 10**4)
+        # Budget is only consulted for levels the search actually enters:
+        # level 2 fits in 70, and level 3 would trip it if it were checked.
+        monkeypatch.setattr(oracle, "MAX_MATRICES", 70)
         assert optimal_code_length(quad_instance, q=3, max_K=20).value == 2
 
     def test_numpy_budget_does_not_wrap(self):

@@ -8,7 +8,9 @@ survive A -> G A D, so nothing is lost) column by column with
 client-complete pruning (each client verdict is memoised on the options at
 its required columns), while minrank_fitted enumerates low-dimensional
 subspaces through canonical reduced-echelon bases and tests all clients
-against each one at once. The length search judges clients on
+against a batch of them per integer product: a batch fills at most
+_BATCH_CELLS cells, and a level small enough for one batch is built once
+and memoised. The length search judges clients on
 fields.essential, which takes every prime q in one column format, so
 nothing here branches on the field order. Witnesses are always re-verified
 through the decodability engine before being returned. MAX_MATRICES bounds
@@ -18,6 +20,7 @@ MAX_SUBSPACES the subspaces minrank_fitted may enumerate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -33,6 +36,7 @@ from .instances import PliableInstance, all_pairs_instance
 
 MAX_MATRICES = 10**9  # optimal_code_length's budget on canonical codes per length level
 MAX_SUBSPACES = 10**6  # minrank_fitted's budget on subspaces of dimension 1..max_r
+_BATCH_CELLS = 2**18  # minrank_fitted's cells per batched product (see _batch_size)
 
 
 class BudgetError(RuntimeError):
@@ -194,24 +198,63 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     return num // den
 
 
+def _digits(values: np.ndarray, q: int, width: int) -> np.ndarray:
+    """Base-q digits of values, most significant first: len(values) x width.
+    _digits(np.arange(q**width), q, width) lists F_q^width in
+    itertools.product order."""
+    return values[:, None] // q ** np.arange(width - 1, -1, -1) % q
+
+
+def _rref_chunks(m: int, r: int, q: int, size: int):
+    """Yield every r-dimensional subspace of F_q^m once, as B x r x m arrays
+    (B <= size) of canonical reduced-echelon bases, in lexicographic order:
+    by pivot columns, then by the entries at the free positions (row by
+    row, the first most significant). A chunk never spans two pivot tuples."""
+    for pivots in itertools.combinations(range(m), r):
+        free = np.array(
+            [(row, col) for row in range(r) for col in range(pivots[row] + 1, m) if col not in pivots],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        total = q ** len(free)
+        for start in range(0, total, size):
+            index = np.arange(start, min(start + size, total))
+            chunk = np.zeros((len(index), r, m), dtype=np.int64)
+            chunk[:, np.arange(r), pivots] = 1
+            chunk[:, free[:, 0], free[:, 1]] = _digits(index, q, len(free))
+            yield chunk
+
+
+def _batch_size(m: int, r: int, q: int, clients: int) -> int:
+    """Bases per batch, so that their spans' supports and client counts,
+    (q^r - 1) x (m + clients) cells per basis, fill at most _BATCH_CELLS."""
+    return max(1, _BATCH_CELLS // max(1, (q**r - 1) * (m + clients)))
+
+
+def _supports(bases: np.ndarray, q: int) -> np.ndarray:
+    """B x (q^r - 1) x m: the 0/1 supports of the nonzero vectors spanned by
+    each of the B r x m bases."""
+    r = bases.shape[1]
+    coeffs = _digits(np.arange(1, q**r), q, r)
+    return (coeffs @ bases % q != 0).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=16)
+def _level(m: int, r: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """A whole level's bases and their spans' supports, read-only; only
+    levels of at most one batch are memoised, so an entry holds at most
+    _BATCH_CELLS support cells."""
+    bases = np.concatenate(list(_rref_chunks(m, r, q, gaussian_binomial(m, r, q))))
+    support = _supports(bases, q)
+    bases.setflags(write=False)
+    support.setflags(write=False)
+    return bases, support
+
+
 def enumerate_rref_bases(m: int, r: int, q: int):
     """Yield each r-dimensional subspace of F_q^m once, as its canonical
     reduced-echelon basis (r x m array), in lexicographic order."""
-    for pivots in itertools.combinations(range(m), r):
-        pivot_set = set(pivots)
-        free_pos = [
-            (row, col)
-            for row in range(r)
-            for col in range(pivots[row] + 1, m)
-            if col not in pivot_set
-        ]
-        for values in itertools.product(range(q), repeat=len(free_pos)):
-            basis = np.zeros((r, m), dtype=np.int64)
-            for row, col in enumerate(pivots):
-                basis[row, col] = 1
-            for (row, col), v in zip(free_pos, values):
-                basis[row, col] = v
-            yield basis
+    for chunk in _rref_chunks(m, r, q, _batch_size(m, r, q, 0)):
+        yield from chunk
 
 
 def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResult:
@@ -219,7 +262,13 @@ def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResul
     contains, for every non-vacuous client, a vector with exactly one 1
     inside R_i and zeros on the rest of R_i (coordinates outside R_i are
     unconstrained). Raises BudgetError when more than MAX_SUBSPACES
-    subspaces have dimension 1..max_r."""
+    subspaces have dimension 1..max_r.
+
+    Subspaces are tested in enumerate_rref_bases order, a batch of bases
+    per integer product. A batch holds every nonzero vector of each span,
+    so a vector with exactly one nonzero entry inside R_i has a multiple
+    whose entry there is 1, and the nonzero count alone decides.
+    """
     check_integer(max_r, 0, None, "max_r", ValueError)
     spec = FieldSpec(q)
     q = spec.q  # a Python int, so the subspace count below cannot wrap
@@ -227,35 +276,31 @@ def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResul
     nonvac = instance.non_vacuous_clients()
     if not nonvac:
         return SearchResult(0, FMatrix.zeros(0, instance.m, q), 0, _ms(t0))
-    total = sum(gaussian_binomial(instance.m, r, q) for r in range(1, max_r + 1))
+    m = instance.m
+    total = sum(gaussian_binomial(m, r, q) for r in range(1, max_r + 1))
     if total > MAX_SUBSPACES:
         raise BudgetError(f"{total} subspaces to enumerate exceeds budget {MAX_SUBSPACES}")
     # m x clients 0/1 incidence: column c marks client c's required messages.
-    incidence = instance.adjacency[nonvac].T.astype(np.int64)
+    # uint8 counts cannot wrap: level 1 alone holds at least 2^m - 1
+    # subspaces, so the budget keeps m, the largest count, below 20.
+    incidence = instance.adjacency[nonvac].T.astype(np.uint8)
     count = 0
     for r in range(1, max_r + 1):
-        coeffs = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)[1:]
-        for basis in enumerate_rref_bases(instance.m, r, q):
-            count += 1
-            vecs = (coeffs @ basis) % q
-            if _fits_every_client(vecs, incidence):
-                witness = FMatrix(basis, spec)
+        size = _batch_size(m, r, q, len(nonvac))
+        if gaussian_binomial(m, r, q) <= size:
+            batches = [_level(m, r, q)]
+        else:
+            batches = ((b, _supports(b, q)) for b in _rref_chunks(m, r, q, size))
+        for bases, support in batches:
+            fits = (support @ incidence == 1).any(axis=1).all(axis=1)
+            hit = int(fits.argmax())
+            if fits[hit]:
+                witness = FMatrix(bases[hit], spec)
                 if not is_valid_code(witness, instance):
                     raise OracleError("minrank search returned an invalid witness")
-                return SearchResult(r, witness, count, _ms(t0))
+                return SearchResult(r, witness, count + hit + 1, _ms(t0))
+            count += len(bases)
     return SearchResult(None, None, count, _ms(t0))
-
-
-def _fits_every_client(vecs: np.ndarray, incidence: np.ndarray) -> bool:
-    """True iff, for every client (column of incidence), some row of vecs has
-    exactly one nonzero entry inside R_i and that entry is 1.
-
-    vecs holds every nonzero vector of the subspace, so a row with exactly
-    one nonzero entry inside R_i has a multiple whose entry there is 1; the
-    nonzero count alone decides.
-    """
-    nonzero = (vecs != 0).astype(np.int64) @ incidence
-    return bool((nonzero == 1).any(axis=0).all())
 
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)

@@ -239,7 +239,81 @@ class TestMatchesReferenceSearches:
             )
 
 
+def _span(rows, q):
+    """The row space of rows over F_q, as a frozenset of vectors."""
+    return frozenset(
+        tuple(sum(c * np.asarray(row) for c, row in zip(coeffs, rows)) % q)
+        for coeffs in itertools.product(range(q), repeat=len(rows))
+    )
+
+
+def _batched(monkeypatch, inst, q, r, size):
+    """Make minrank_fitted test the r-dimensional subspaces of inst in
+    batches of size bases."""
+    clients = len(inst.non_vacuous_clients())
+    monkeypatch.setattr(oracle, "_BATCH_CELLS", size * (q**r - 1) * (inst.m + clients))
+    assert oracle._batch_size(inst.m, r, q, clients) == size
+
+
+class TestBatchBoundaries:
+    """With small batches, the batched search keeps the reference's value,
+    witness and enumeration count wherever the first fitting basis falls.
+
+    On all_pairs_instance(4) over F_3 it is basis 42 of level 2, in the
+    first pivot tuple's 81 bases (42 + 40 of level 1 = 82 enumerated)."""
+
+    @pytest.mark.parametrize(
+        "size,batch,last",
+        [(64, 0, False), (8, 5, False), (21, 1, True)],
+        ids=["first batch", "later batch", "last basis of a batch"],
+    )
+    def test_hit(self, monkeypatch, size, batch, last):
+        inst = all_pairs_instance(4)
+        expected = reference_minrank_fitted(inst, 3, 2)
+        assert expected[0] == 2 and expected[2] == 82
+        position = expected[2] - gaussian_binomial(4, 1, 3)  # 1-based, within level 2
+        index, offset = divmod(position - 1, size)
+        assert (index, offset == size - 1) == (batch, last)
+        _batched(monkeypatch, inst, 3, 2, size)
+        assert _outcome(minrank_fitted(inst, 3, 2)) == expected
+
+    def test_no_hit(self, monkeypatch):
+        # Binary all-pairs on 4 messages needs dimension 3.
+        inst = all_pairs_instance(4)
+        _batched(monkeypatch, inst, 2, 2, 4)
+        total = gaussian_binomial(4, 1, 2) + gaussian_binomial(4, 2, 2)
+        assert _outcome(minrank_fitted(inst, 2, 2)) == (None, None, total)
+        assert reference_minrank_fitted(inst, 2, 2) == (None, None, total)
+
+
 class TestSubspaceEnumeration:
+    @pytest.mark.parametrize("m,r,q", [(4, 2, 3), (5, 2, 2), (4, 3, 2), (3, 1, 5)])
+    def test_order_against_every_rank_r_matrix(self, m, r, q):
+        # Every rank-r r x m matrix over F_q, found by brute force (its span
+        # has q^r vectors), spans a subspace; the yielded bases span each of
+        # them exactly once, and come sorted by (pivot columns, entries at
+        # the free positions row by row), every other entry being fixed.
+        every = set()
+        for entries in itertools.product(range(q), repeat=r * m):
+            span = _span(np.array(entries).reshape(r, m), q)
+            if len(span) == q**r:
+                every.add(span)
+        bases = list(enumerate_rref_bases(m, r, q))
+        spans = [_span(b, q) for b in bases]
+        assert len(set(spans)) == len(spans)
+        assert set(spans) == every
+        keys = []
+        for b in bases:
+            pivots = tuple(int(np.flatnonzero(row)[0]) for row in b)
+            free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, m) if j not in pivots]
+            expected = np.zeros((r, m), dtype=np.int64)
+            expected[range(r), pivots] = 1
+            for i, j in free:
+                expected[i, j] = b[i, j]
+            assert (b == expected).all()
+            keys.append((pivots, tuple(int(b[i, j]) for i, j in free)))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
     def test_count_3_2_2(self):
         bases = list(enumerate_rref_bases(3, 2, 2))
         assert len(bases) == 7 == gaussian_binomial(3, 2, 2)
@@ -277,6 +351,12 @@ class TestMinrankFitted:
         with pytest.raises(BudgetError):
             minrank_fitted(inst, q=5, max_r=6)
 
+    def test_all_pairs_m6_over_f5(self):
+        # Level 2 spans many batches, and the per-client reference takes
+        # too long here, so the outcome is pinned.
+        res = minrank_fitted(all_pairs_instance(6), 5, max_r=2)
+        assert _outcome(res) == (2, [[1, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 4]], 101_601)
+
     def test_equals_optimal_length_on_random_instances(self):
         matched = 0
         for trial in range(30):
@@ -304,6 +384,9 @@ class TestFieldSize:
         # 7^(2m) nominal 2 x m codes over F_7 (budget 10^9), but only 85,520
         # canonical ones at m = 7.
         assert min_field_for_length2(m) == 7
+
+    def test_min_field_m9(self):
+        assert min_field_for_length2(9) == 11
 
     def test_m_too_small(self):
         with pytest.raises(ValueError):

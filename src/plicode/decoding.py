@@ -9,10 +9,12 @@ The single-client readers read the client's adjacency row and build no
 view. satisfied_set takes only the code and the instance: every non-vacuous
 client is judged.
 
-decode_value recovers a value from one fields.solve call on the client's
-required columns and the stripped transmissions: the same elimination that
-decides decodability yields one solution, read at the smallest decodable
-index. Nothing here branches on the field order.
+decode_value strips the side information through the code's own
+mul_vector, on a message vector that is zero on R_i, and recovers a value
+from one fields.solve call on the client's required columns and the
+stripped transmissions: the same elimination that decides decodability
+yields one solution, read at the smallest decodable index. Nothing here
+branches on the field order.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ def decode_value(
     """Recover one new message value for client i from the transmissions.
 
     x must equal A b for a message vector b consistent with side_values
-    (values of b on S_i). Strips the side information from x, solves the
-    reduced system, and returns the smallest uniquely determined message
-    index with its value. Raises InstanceError unless i is an integer in
+    (values of b on S_i). Strips the side information from x as x - A b',
+    where b' is b on S_i and zero on R_i, solves the reduced system on R_i's
+    columns, and returns the smallest uniquely determined message index
+    with its value. Raises InstanceError unless i is an integer in
     [0, n), and InconsistentSystemError, before any DecodingError, when no
     such b gives x.
     """
@@ -130,9 +133,10 @@ def decode_value(
     if set(side_values) != set(side):
         raise DecodingError(f"side_values keys must be exactly S_{i} = {side}")
     req = np.flatnonzero(row)
-    if side:
-        sv = field_vector([side_values[j] for j in side], q, "side values")
-        x = (x - FMatrix(mat.entries[:, side], mat.field).mul_vector(sv)) % q
+    # b holds the side values on S_i and zeros on R_i, so A b is S_i's share of x.
+    b = np.zeros(mat.n_cols, dtype=np.int64)
+    b[side] = field_vector([side_values[j] for j in side], q, "side values")
+    x = (x - mat.mul_vector(b)) % q
     *words, target = column_words(np.column_stack([mat.entries[:, req], x]), q)
     y, ess = solve(words, target, q)
     if not ess:

@@ -4,9 +4,10 @@ Matrices are dense numpy integer arrays with entries reduced mod q. This
 module is the only one that branches on the field order. Rank,
 decodability (essential) and consistent solving (solve) run on one
 column-insertion kernel for every prime q: column_words turns each column
-into one Python int with row r at bit r (F_2, eliminated by XOR) or a tuple
-of reduced Python ints (q > 2). _rref, rank_generic, in_span and
-solve_consistent form an independent int64 RREF reference; field orders are
+into one Python int with row r at bit r (F_2, eliminated by XOR; every
+column packed by one numpy call into 64-bit limbs) or a tuple of reduced
+Python ints (q > 2). _rref, rank_generic, in_span and solve_consistent form
+an independent int64 RREF reference (in_span on one RREF); field orders are
 capped at MAX_ORDER so that every product of two reduced entries fits in
 int64. Degenerate-shape conventions: an empty matrix has rank 0, and the
 span of an empty set of vectors is {0}.
@@ -243,10 +244,22 @@ def rank_generic(a: np.ndarray, q: int) -> int:
 def column_words(a: np.ndarray, q: int) -> list:
     """Each column of a, in the format essential and solve take: over F_2 one
     Python int with row r at bit r (any row count), over q > 2 a tuple of
-    Python ints reduced mod q."""
+    Python ints reduced mod q.
+
+    Over F_2 one packbits call fills whole little-endian 64-bit limbs per
+    column; each limb index is read with one tolist, and limb t is OR-ed in
+    shifted by 64 t, so no Python loop runs per column."""
     if q == 2:
-        packed = np.packbits(np.asarray(a).T & 1, axis=1, bitorder="little")
-        return [int.from_bytes(col.tobytes(), "little") for col in packed]
+        bits = np.asarray(a).T & 1
+        n_cols, k = bits.shape
+        limbs = -(-k // 64) or 1
+        buf = np.zeros((n_cols, 8 * limbs), dtype=np.uint8)
+        buf[:, : -(-k // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        words = buf.view("<u8")
+        out = words[:, 0].tolist()
+        for t in range(1, limbs):
+            out = [w | h << 64 * t for w, h in zip(out, words[:, t].tolist())]
+        return out
     _check_order(q)
     return [tuple(col) for col in (np.asarray(a, dtype=np.int64) % q).T.tolist()]
 
@@ -359,10 +372,11 @@ def in_span(v, vectors, spec: FieldSpec) -> bool:
             raise DimensionError("span members and test vector must share the same length")
     if not vecs:
         return not np.any(v)
-    base = np.stack(vecs)
-    r0 = rank_generic(base, spec.q)
-    r1 = rank_generic(np.vstack([base, v[None, :]]), spec.q)
-    return r1 == r0
+    # A vector of the row space equals the sum of the RREF rows weighted by
+    # its own pivot entries; each product is reduced before the sum.
+    q = spec.q
+    r, pivots = _rref(np.stack(vecs), q)
+    return not np.any((v - (v[pivots, None] * r[: len(pivots)] % q).sum(axis=0)) % q)
 
 
 def _determined(r: np.ndarray, pivots: list[int], n_cols: int) -> np.ndarray:

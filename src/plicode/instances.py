@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -211,9 +210,18 @@ def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
 
 
 def all_pairs_instance(m: int) -> PliableInstance:
-    """One client per singleton {j} and one per pair {j1, j2}; n = m + C(m, 2)."""
-    check_integer(m, 2, None, "all-pairs m", InstanceError)
-    return build_instance(m, [(j,) for j in range(m)] + list(itertools.combinations(range(m), 2)))
+    """One client per singleton {j} and one per pair {j1, j2}; n = m + C(m, 2).
+
+    The pairs follow the singletons in lexicographic order, as
+    itertools.combinations lists them."""
+    m = check_integer(m, 2, None, "all-pairs m", InstanceError)
+    first, second = np.triu_indices(m, 1)
+    pairs = np.arange(m, m + len(first))
+    adj = np.zeros((m + len(first), m), dtype=bool)
+    adj[:m] = np.eye(m, dtype=bool)
+    adj[pairs, first] = True
+    adj[pairs, second] = True
+    return PliableInstance(adj)
 
 
 def adjacency_matrix(instance: PliableInstance) -> np.ndarray:

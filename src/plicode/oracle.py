@@ -87,6 +87,7 @@ def _canonical_options(q: int, k: int) -> tuple[list[tuple[int, ...]], list[int]
     return options, below
 
 
+@functools.lru_cache(maxsize=64)
 def _canonical_count(m: int, k: int, q: int) -> int:
     """Number of canonical k x m codes over F_q (those _search_fixed_length
     enumerates without pruning), by a DP over the pivots placed so far."""
@@ -95,6 +96,20 @@ def _canonical_count(m: int, k: int, q: int) -> int:
     for _ in range(m):
         ways = [w * below[r] + (ways[r - 1] if r else 0) for r, w in enumerate(ways)]
     return sum(ways)
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(q: int, k: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
+    """_search_fixed_length's constants for k-row codes over F_q, built once:
+    the canonical options, the same in column_words format, below (see
+    _canonical_options) and per pivot count r the limit on option ids. All
+    are tuples, so no search can alter the shared tables."""
+    options, below = _canonical_options(q, k)
+    columns = column_words(np.array(options, dtype=np.int64).T, q)
+    # Options open with r pivots placed: those below[r] supported on rows < r,
+    # plus the new pivot e_r (id below[r]) while r < k.
+    limit = [n + (r < k) for r, n in enumerate(below)]
+    return tuple(options), tuple(columns), tuple(below), tuple(limit)
 
 
 def _search_fixed_length(
@@ -119,11 +134,7 @@ def _search_fixed_length(
     on plain ints, by fields.essential on the options in column_words format.
     """
     m = instance.m
-    options, below = _canonical_options(q, k)
-    columns = column_words(np.array(options, dtype=np.int64).T, q)
-    # Options open with r pivots placed: those below[r] supported on rows < r,
-    # plus the new pivot e_r (id below[r]) while r < k.
-    limit = [n + (r < k) for r, n in enumerate(below)]
+    options, columns, below, limit = _tables(q, k)
     # Per column, the key getters of the clients whose last required column
     # it is; itemgetter of one index returns it bare, so that key is wrapped.
     finish: list[list[Callable]] = [[] for _ in range(m)]

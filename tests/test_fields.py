@@ -263,6 +263,26 @@ class TestGf2Kernel:
             assert ess[j] == (not in_span(a[:, j], others, spec))
 
 
+def column_words_reference(a: np.ndarray) -> list[int]:
+    """Bit-by-bit F_2 words: bit r of word j is the parity of a[r, j]."""
+    k, n = a.shape
+    return [sum((int(a[r, j]) & 1) << r for r in range(k)) for j in range(n)]
+
+
+class TestColumnWords:
+    """The F_2 packing against a bit-by-bit reference, at every limb boundary."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 63, 64, 65, 127, 128, 129])
+    def test_matches_bitwise_reference(self, k, n):
+        rng = np.random.default_rng([31, k, n])
+        bits = rng.integers(0, 2, size=(k, n))
+        for a in (bits, bits.astype(bool), rng.integers(-9, 10, size=(k, n))):
+            words = column_words(a, 2)
+            assert words == column_words_reference(a)
+            assert all(type(w) is int for w in words)
+
+
 def fq_blocks(q, count, seed):
     """Seeded k x n blocks over F_q, 1 <= k <= 3 and 1 <= n <= 8, whose columns
     are zero, fresh random, repeated or scaled copies of an earlier column,
@@ -363,6 +383,30 @@ class TestInSpan:
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             in_span(np.array([1, 0]), [np.array([1, 0, 0])], FieldSpec(2))
+
+    @pytest.mark.parametrize("q", [2, 3, 7, MAX_ORDER])
+    def test_seeded_blocks_match_rank_increment(self, q):
+        # The rows of each block span; v is one of their combinations, then a random vector.
+        spec = FieldSpec(q)
+        rng = np.random.default_rng([37, q])
+        outcomes = {True: 0, False: 0}
+        for a in fq_blocks(q, 100, seed=41):
+            k, n = a.shape
+            vecs = list(a)
+            combo = FMatrix(a.T.copy(), spec).mul_vector(rng.integers(0, q, size=k))
+            for v in (combo, rng.integers(0, q, size=n)):
+                expected = rank_generic(a, q) == rank_generic(np.vstack([a, v]), q)
+                assert in_span(v, vecs, spec) == expected
+                outcomes[expected] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_exact_at_largest_order(self):
+        # v's pivot entries times the last column sum to 3 (q - 1)^2, which an
+        # unreduced int64 dot product would wrap.
+        q = MAX_ORDER
+        base = [[1, 0, 0, q - 1], [0, 1, 0, q - 1], [0, 0, 1, q - 1]]
+        assert in_span([q - 1, q - 1, q - 1, 3], base, FieldSpec(q))
+        assert not in_span([q - 1, q - 1, q - 1, 4], base, FieldSpec(q))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -1,5 +1,7 @@
 """Instance model: construction, generators, bipartite bookkeeping."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,11 @@ class TestAllPairsInstance:
     def test_non_integer_m_rejected(self):
         with pytest.raises(InstanceError, match="integer"):
             all_pairs_instance(3.0)
+
+    @pytest.mark.parametrize("m", [*range(2, 13), np.int64(7)], ids=str)
+    def test_matches_built_instance(self, m):
+        reqs = [(j,) for j in range(m)] + list(itertools.combinations(range(m), 2))
+        assert all_pairs_instance(m) == build_instance(m, reqs)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_singleton_and_pair_counts(self, m):

@@ -177,6 +177,12 @@ class TestCanonicalCodes:
         assert oracle._canonical_count(7, 2, 7) == 85_520
         assert oracle._canonical_count(64, 1, 2) == 2**64
 
+    def test_shared_tables_are_immutable(self):
+        # _tables is memoised across searches, so a search must not be able to alter it.
+        tables = oracle._tables(3, 2)
+        assert all(type(t) is tuple for t in tables)
+        assert oracle._tables(3, 2) is tables
+
     @pytest.mark.parametrize("m,k,q", [(3, 2, 3), (4, 2, 2), (3, 3, 2), (2, 2, 5)])
     def test_every_code_has_one_canonical_form_with_the_same_verdicts(self, m, k, q):
         # The canonical forms of all q^(k*m) codes are exactly the codes the

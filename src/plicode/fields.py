@@ -396,8 +396,12 @@ def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
     """Boolean mask of columns not contained in the span of the other columns.
 
     Column j is outside the span of the rest iff every null-space vector of
-    the matrix has a zero j-th coordinate; essential finds them.
+    the matrix has a zero j-th coordinate; essential finds them. Raises
+    FieldError on any non-integer entry.
     """
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        a = field_vector(a, q, "matrix entries")
     words = column_words(a, q)
     ess = essential(words, int(q))
     return np.array([(ess >> t) & 1 for t in range(len(words))], dtype=bool)

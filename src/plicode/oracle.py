@@ -13,9 +13,9 @@ _BATCH_CELLS cells, and a level small enough for one batch is built once
 and memoised. The length search judges clients on
 fields.essential, which takes every prime q in one column format, so
 nothing here branches on the field order. Witnesses are always re-verified
-through the decodability engine before being returned. MAX_MATRICES bounds
-the canonical codes of each length level the length search enters, and
-MAX_SUBSPACES the subspaces minrank_fitted may enumerate.
+through the decodability engine before being returned. MAX_NODES bounds
+the options the length search tries (its .enumerated), checked as it runs,
+and MAX_SUBSPACES the subspaces minrank_fitted may enumerate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .fields import FieldSpec, FMatrix, check_integer, column_words, essential
 from .instances import PliableInstance, all_pairs_instance
 
 
-MAX_MATRICES = 10**9  # optimal_code_length's budget on canonical codes per length level
+MAX_NODES = 10**7  # optimal_code_length's budget on options tried, over all levels
 MAX_SUBSPACES = 10**6  # minrank_fitted's budget on subspaces of dimension 1..max_r
 _BATCH_CELLS = 2**18  # minrank_fitted's cells per batched product (see _batch_size)
 
@@ -87,17 +87,6 @@ def _canonical_options(q: int, k: int) -> tuple[list[tuple[int, ...]], list[int]
     return options, below
 
 
-@functools.lru_cache(maxsize=64)
-def _canonical_count(m: int, k: int, q: int) -> int:
-    """Number of canonical k x m codes over F_q (those _search_fixed_length
-    enumerates without pruning), by a DP over the pivots placed so far."""
-    below = [1 + (q**r - 1) // (q - 1) for r in range(k + 1)]
-    ways = [1] + [0] * k  # ways[r]: column prefixes with r pivots placed
-    for _ in range(m):
-        ways = [w * below[r] + (ways[r - 1] if r else 0) for r, w in enumerate(ways)]
-    return sum(ways)
-
-
 @functools.lru_cache(maxsize=16)
 def _tables(q: int, k: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
     """_search_fixed_length's constants for k-row codes over F_q, built once:
@@ -132,8 +121,12 @@ def _search_fixed_length(
     client's verdict is a function of the option ids at its required
     columns alone, so each distinct tuple of ids is judged once per search,
     on plain ints, by fields.essential on the options in column_words format.
+
+    counter[0] sums the options tried over every level searched so far;
+    BudgetError is raised as soon as it passes MAX_NODES.
     """
     m = instance.m
+    budget = MAX_NODES
     options, columns, below, limit = _tables(q, k)
     # Per column, the key getters of the clients whose last required column
     # it is; itemgetter of one index returns it bare, so that key is wrapped.
@@ -156,6 +149,8 @@ def _search_fixed_length(
             continue
         choice[col] = t
         counter[0] += 1
+        if counter[0] > budget:
+            raise BudgetError(f"length search passed budget {budget} on options tried, at K = {k}")
         for get in finish[col]:
             key = get(choice)
             ok = verdicts.get(key)
@@ -172,23 +167,19 @@ def _search_fixed_length(
 def optimal_code_length(instance: PliableInstance, q: int, max_K: int) -> SearchResult:
     """Smallest K <= max_K admitting a valid K x m code over F_q.
 
-    Raises BudgetError when the search must enter a length level with more
-    than MAX_MATRICES canonical codes without having found a code yet.
-    value is None when no code of length <= max_K exists.
+    Raises BudgetError once the search, over all levels so far, has tried
+    more than MAX_NODES options without having found a code, so the budget
+    bounds .enumerated itself. value is None when no code of length
+    <= max_K exists.
     """
     check_integer(max_K, 0, None, "max_K", ValueError)
     spec = FieldSpec(q)
-    q = spec.q  # a Python int, so the canonical count below cannot wrap
+    q = spec.q  # a Python int, so fields.essential's arithmetic stays exact
     t0 = time.perf_counter()
     if not instance.non_vacuous_clients():
         return SearchResult(0, FMatrix.zeros(0, instance.m, q), 0, _ms(t0))
     counter = [0]
     for k in range(1, max_K + 1):
-        total = _canonical_count(instance.m, k, q)
-        if total > MAX_MATRICES:
-            raise BudgetError(
-                f"{total} canonical {k} x {instance.m} codes over F_{q} exceed budget {MAX_MATRICES}"
-            )
         found = _search_fixed_length(instance, q, k, counter)
         if found is not None:
             witness = FMatrix(found, spec)

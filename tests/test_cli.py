@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from plicode import cli, instances
+from plicode import cli, instances, oracle
 from plicode.bench import BenchmarkError
 from plicode.bingreedy import EncoderStallError
 from plicode.cli import main
@@ -335,6 +335,12 @@ class TestExitCodes:
     def test_composite_field_order_exits_2(self, quad_file, capsys):
         assert main(["minrank", "--instance", quad_file, "--q", "4"]) == 2
         assert "prime" in capsys.readouterr().err
+
+    def test_length_search_over_budget_exits_2(self, quad_file, monkeypatch, capsys):
+        # The search tries 18 options to find K = 2 at q = 3.
+        monkeypatch.setattr(oracle, "MAX_NODES", 17)
+        assert main(["encode", "--alg", "optimal", "--q", "3", "--instance", quad_file]) == 2
+        assert "budget 17" in capsys.readouterr().err
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         rc = main(["gen", "random", "--n", "5", "--m", "3",

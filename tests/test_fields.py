@@ -102,12 +102,23 @@ class TestArithmetic:
 
 
     @pytest.mark.parametrize(
-        "a", [[[0.5, 1.0]], [[True, False]], [["1", "0"]]], ids=["float", "bool", "str"]
+        "a",
+        [[[0.5, 1.0]], [[True, False]], [["1", "0"]], np.array([[1.5, 0]], dtype=object)],
+        ids=["float", "bool", "str", "object-float"],
     )
-    def test_rank_generic_rejects_non_integers(self, a):
-        # The float matrix read as rank 1: 0.5 and 1.0 were cast to 0 and 1.
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("kernel", [rank_generic, essential_columns], ids=lambda f: f.__name__)
+    def test_rejects_non_integers(self, kernel, q, a):
+        # The float matrix read as rank 1 (0.5 and 1.0 were cast to 0 and 1),
+        # and essential_columns read 1.5 as 1 over F_3.
         with pytest.raises(FieldError, match="integer"):
-            rank_generic(np.array(a), 3)
+            kernel(np.array(a), q)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_essential_columns_reads_integer_objects_as_int64(self, q):
+        # Over F_2 numpy's packbits refused an object array with a bare TypeError.
+        a = np.array([[1, 0, 1, 0], [0, 1, 2, 0], [0, 0, 0, 5]], dtype=object)
+        assert (essential_columns(a, q) == essential_columns(a.astype(np.int64), q)).all()
 
 
 class TestFMatrix:

@@ -109,6 +109,9 @@ THRESHOLD_DIGESTS = {
     4: (3, "a852d266a18cf7aa4de6a14a09549b24a00ba587eda530925a6d258f65faeee0"),
     5: (5, "7ae2b74ab02c4c788c9a4a088d9b1e51254daf01d829c619575cce18d08cc4e6"),
     6: (5, "64abcd0e30507fe7f8bd794e3a4c2b83db83c1eb9c85de6dc0f8164166f6d4d8"),
+    10: (11, "9d65bb5b3ac34dd663d1953954523eec95a5250f885e3b4c42e84ccad7c560b4"),
+    11: (11, "d69c7d13e54703781ca04d65050338d8ae3d495d181ccd529de0f5a327cd9391"),
+    12: (11, "e62d4f9f61d4cc9a916d09d01a47a0d10064c0cb8a04193099e56e08987aecf3"),
 }
 
 

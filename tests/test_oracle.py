@@ -111,20 +111,35 @@ class TestOptimalCodeLength:
         assert res.value == 0 and res.witness.n_rows == 0
 
     def test_budget_guard(self, quad_instance, monkeypatch):
-        # At q = 3, levels 1, 2 and 3 hold 16, 63 and 85 canonical k x 4 codes.
-        monkeypatch.setattr(oracle, "MAX_MATRICES", 50)
-        with pytest.raises(BudgetError):
+        # At q = 3 the search tries 4 options at level 1 and 14 at level 2,
+        # where it finds K = 2: the budget bounds .enumerated itself.
+        monkeypatch.setattr(oracle, "MAX_NODES", 18)
+        res = optimal_code_length(quad_instance, q=3, max_K=20)
+        assert (res.value, res.enumerated) == (2, 18)
+        monkeypatch.setattr(oracle, "MAX_NODES", 17)
+        with pytest.raises(BudgetError, match="17"):
             optimal_code_length(quad_instance, q=3, max_K=20)
-        # Budget is only consulted for levels the search actually enters:
-        # level 2 fits in 70, and level 3 would trip it if it were checked.
-        monkeypatch.setattr(oracle, "MAX_MATRICES", 70)
-        assert optimal_code_length(quad_instance, q=3, max_K=20).value == 2
+        # Budget 10 trips on the 11th option, inside level 2 (entered after
+        # 4 options), not on entering it.
+        search, levels = oracle._search_fixed_length, []
+
+        def spy(instance, q, k, counter):
+            levels.append((k, counter))
+            return search(instance, q, k, counter)
+
+        monkeypatch.setattr(oracle, "_search_fixed_length", spy)
+        monkeypatch.setattr(oracle, "MAX_NODES", 10)
+        with pytest.raises(BudgetError, match="K = 2"):
+            optimal_code_length(quad_instance, q=3, max_K=20)
+        assert levels[-1] == (2, [11])
 
     def test_numpy_budget_does_not_wrap(self):
-        # 2^64 in int64 arithmetic reads 0, which would pass the budget check.
+        # Level 1 holds 2^64 canonical codes, a count that reads 0 in int64;
+        # the budget counts options tried, and the first code that serves
+        # the client is found on the 65th.
         inst = build_instance(64, [{0}])
-        with pytest.raises(BudgetError):
-            optimal_code_length(inst, q=np.int64(2), max_K=1)
+        res = optimal_code_length(inst, q=np.int64(2), max_K=1)
+        assert (res.value, res.enumerated) == (1, 65)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_numpy_field_order(self, quad_instance, q):
@@ -172,11 +187,6 @@ def _canonical_form(a, q):
 
 
 class TestCanonicalCodes:
-    def test_counts(self):
-        assert oracle._canonical_count(4, 2, 3) == 63
-        assert oracle._canonical_count(7, 2, 7) == 85_520
-        assert oracle._canonical_count(64, 1, 2) == 2**64
-
     def test_shared_tables_are_immutable(self):
         # _tables is memoised across searches, so a search must not be able to alter it.
         tables = oracle._tables(3, 2)
@@ -186,11 +196,19 @@ class TestCanonicalCodes:
     @pytest.mark.parametrize("m,k,q", [(3, 2, 3), (4, 2, 2), (3, 3, 2), (2, 2, 5)])
     def test_every_code_has_one_canonical_form_with_the_same_verdicts(self, m, k, q):
         # The canonical forms of all q^(k*m) codes are exactly the codes the
-        # search may visit: as many as _canonical_count, each column an option
-        # open at its pivot count, and each with the original's essential
-        # columns on every column subset, so every client's verdict.
+        # search may visit, those whose every column is an option open at its
+        # pivot count, and each has the original's essential columns on every
+        # column subset, so every client's verdict.
         options, below = oracle._canonical_options(q, k)
-        ids = {v: t for t, v in enumerate(options)}
+        allowed = set()
+        for seq in itertools.product(range(len(options)), repeat=m):  # at most 512
+            r = 0
+            for t in seq:
+                if not (t < below[r] or (t == below[r] and r < k)):
+                    break
+                r += t == below[r]
+            else:
+                allowed.add(tuple(options[t] for t in seq))
         subsets = [list(s) for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
         forms = set()
         for entries in itertools.product(range(q), repeat=k * m):
@@ -199,13 +217,7 @@ class TestCanonicalCodes:
             for s in subsets:
                 assert (essential_columns(c[:, s], q) == essential_columns(a[:, s], q)).all()
             forms.add(tuple(map(tuple, c.T.tolist())))
-        assert len(forms) == oracle._canonical_count(m, k, q)
-        for form in forms:
-            r = 0
-            for col in form:
-                t = ids[col]
-                assert t < below[r] or (t == below[r] and r < k)
-                r += t == below[r]
+        assert forms == allowed
 
 
 class TestMatchesReferenceSearches:
@@ -387,12 +399,18 @@ class TestFieldSize:
 
     @pytest.mark.parametrize("m", [7, 8])
     def test_min_field_m7_m8(self, m):
-        # 7^(2m) nominal 2 x m codes over F_7 (budget 10^9), but only 85,520
-        # canonical ones at m = 7.
+        # 7^(2m) nominal 2 x m codes over F_7, but only 85,520 canonical
+        # ones at m = 7.
         assert min_field_for_length2(m) == 7
 
     def test_min_field_m9(self):
         assert min_field_for_length2(9) == 11
+
+    @pytest.mark.parametrize("m", [10, 11, 12])
+    def test_min_field_m10_to_m12(self, m):
+        # Level 2 holds 1.04e9 to 1.77e11 canonical codes over F_11, but the
+        # search finds one after at most 94 options.
+        assert min_field_for_length2(m) == 11
 
     def test_m_too_small(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ re-checked through in_span, and decode_value recovers the message's value.
 For BinGreedy: the 1/3 fractions per group and per round and the raw row
 cap of the acceptance suite. Over F_2 with caps of 3: the optimal code
 length bounds both encoders' pruned lengths from below, and minrank over
-the fitted subspaces equals it. For every instance: JSON and text round trips
+the fitted subspaces equals it; the first bound is also checked on seeded
+instances with n in {50, 100} and m = 12. For every instance: JSON and text round trips
 keep the bytes and the instance hash. For the CLI: an instance or matrix
 file made malformed by one mutation makes verify exit 2 with an error
 message, never 3 and never a traceback.
@@ -34,6 +35,7 @@ from plicode import (
     is_valid_code,
     minrank_fitted,
     optimal_code_length,
+    random_instance,
     randomized_code,
     satisfied_set,
 )
@@ -128,6 +130,18 @@ def test_exact_oracles_bound_the_encoders(inst, seed):
     assert minrank_fitted(inst, 2, max_r=3).value == opt
     for report in (bingreedy(inst)[1], randomized_code(inst, seed=seed)[1]):
         assert report.rows_pruned > 3 if opt is None else opt <= report.rows_pruned
+
+
+@pytest.mark.parametrize("n", [50, 100])
+@pytest.mark.parametrize("s", range(3))
+def test_exact_optimum_bounds_the_encoders_at_m12(n, s):
+    # Seeded instances past the drawn ones' m <= 6: the length search
+    # settles within its node budget (optimum 3 at n = 50, 4 at n = 100).
+    inst = random_instance(n, 12, 0.3, seed=[s, n, 12])
+    opt = optimal_code_length(inst, 2, max_K=6).value
+    assert opt is not None
+    for report in (bingreedy(inst)[1], randomized_code(inst, seed=s)[1]):
+        assert opt <= report.rows_pruned
 
 
 @SETTINGS

@@ -7,19 +7,15 @@ same instance object per (n, seed) point (checked by hash).
 
 from __future__ import annotations
 
-import io
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bingreedy import bingreedy
 from .decoding import is_valid_code
 from .fields import check_integer, check_integers, check_probability
 from .instances import instance_hash, random_instance
 from .randomized import randomized_code
-
-CSV_HEADER = "n,m,p,seed,algorithm,code_length_raw,code_length_pruned,rounds,satisfied,runtime_ms"
-
 
 class BenchmarkError(RuntimeError):
     """An encoder produced an invalid code or inconsistent instance state."""
@@ -34,6 +30,7 @@ class ExperimentConfig:
     instances, base_seed and m_fixed must be integers (a bool or a float is
     rejected, never truncated), p must be a real number, not a bool, and
     algorithms must name at least one of "bingreedy" and "randomized".
+    Neither the n values nor the algorithms may repeat.
     """
 
     n_values: tuple[int, ...] = (100, 316, 1000)
@@ -53,6 +50,9 @@ class ExperimentConfig:
             check_integer(self.m_fixed, 1, None, "m_fixed", ValueError)
         if not self.algorithms or not set(self.algorithms) <= {"bingreedy", "randomized"}:
             raise ValueError(f"algorithms must name bingreedy, randomized or both, got {self.algorithms!r}")
+        for what, values in (("n values", self.n_values), ("algorithms", self.algorithms)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{what} must not repeat, got {values!r}")
 
     def m_for(self, n: int) -> int:
         return max(1, round(n**0.75)) if self.m_fixed is None else self.m_fixed
@@ -72,11 +72,10 @@ class ResultRow:
     runtime_ms: int
 
     def to_csv_line(self) -> str:
-        return (
-            f"{self.n},{self.m},{self.p:g},{self.seed},{self.algorithm},"
-            f"{self.code_length_raw},{self.code_length_pruned},{self.rounds},"
-            f"{self.satisfied},{self.runtime_ms}"
-        )
+        return ",".join(format(getattr(self, f.name), "g" if f.name == "p" else "") for f in fields(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 def run_benchmark(config: ExperimentConfig) -> tuple[list[ResultRow], dict]:
@@ -144,11 +143,7 @@ def summarize(rows: list[ResultRow]) -> dict:
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in rows:
-        buf.write(r.to_csv_line() + "\n")
-    return buf.getvalue()
+    return "".join(f"{line}\n" for line in [CSV_HEADER, *(r.to_csv_line() for r in rows)])
 
 
 def write_csv(rows: list[ResultRow], path) -> None:

@@ -43,38 +43,37 @@ def non_negative_int(text: str) -> int:
     return check_integer(int(text), 0, None, "value", ValueError)
 
 
-def load_instance(path: str) -> PliableInstance:
+def _load(path: str, what: str, parse):
+    """parse(text) of the file given as --<what>; a failure to read or parse it is a CliError."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            return parse(fh.read())
+    except OSError as exc:
+        raise CliError(f"--{what}: cannot read {path}: {exc}") from exc
+    except INPUT_ERRORS as exc:
+        raise CliError(f"--{what}: {path} is not a valid {what} file: {exc}") from exc
+
+
+def load_instance(path: str) -> PliableInstance:
+    def parse(text):
         if text.lstrip().startswith("{"):
             return PliableInstance.from_json(json.loads(text))
         return PliableInstance.from_text(text)
-    except OSError as exc:
-        raise CliError(f"--instance: cannot read {path}: {exc}") from exc
-    except INPUT_ERRORS as exc:
-        raise CliError(f"--instance: {path} is not a valid instance file: {exc}") from exc
+
+    return _load(path, "instance", parse)
 
 
-def save_instance(instance: PliableInstance, path: str, fmt: str) -> None:
-    if fmt == "auto":
-        fmt = "json" if path.endswith(".json") else "text"
+def load_matrix(path: str) -> FMatrix:
+    return _load(path, "matrix", lambda text: FMatrix.from_json(json.loads(text)))
+
+
+def save_instance(instance: PliableInstance, path: str) -> None:
     with open(path, "w") as fh:
-        if fmt == "json":
+        if path.endswith(".json"):
             json.dump(instance.to_json(), fh)
             fh.write("\n")
         else:
             fh.write(instance.to_text())
-
-
-def load_matrix(path: str) -> FMatrix:
-    try:
-        with open(path) as fh:
-            return FMatrix.from_json(json.load(fh))
-    except OSError as exc:
-        raise CliError(f"--matrix: cannot read {path}: {exc}") from exc
-    except INPUT_ERRORS as exc:
-        raise CliError(f"--matrix: {path} is not a valid matrix file: {exc}") from exc
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -106,7 +105,7 @@ def cmd_gen(args) -> int:
         if args.m is None:
             raise CliError("gen all-pairs: --m is required")
         instance = all_pairs_instance(args.m)
-    save_instance(instance, args.out, args.format)
+    save_instance(instance, args.out)
     return 0
 
 
@@ -221,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=float, default=unset, help="default 0.3")
     p.add_argument("--seed", type=non_negative_int, default=unset, help="default 0")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["auto", "json", "text"], default="auto")
+    p.add_argument("--out", required=True, help="JSON if it ends in .json, else the text format")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("encode", help="run an encoder on an instance file")

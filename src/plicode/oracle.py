@@ -7,15 +7,15 @@ non-pivot columns scaled to a first nonzero entry of 1; client verdicts
 survive A -> G A D, so nothing is lost) column by column with
 client-complete pruning (each client verdict is memoised on the options at
 its required columns), while minrank_fitted enumerates low-dimensional
-subspaces through canonical reduced-echelon bases and tests all clients
-against a batch of them per integer product: a batch fills at most
-_BATCH_CELLS cells, and a level small enough for one batch is built once
-and memoised. The length search judges clients on
+subspaces through canonical reduced-echelon bases, in _rref_chunks order,
+and tests all clients against a batch of them per integer product: a batch
+fills at most _BATCH_CELLS cells, and a level small enough for one batch is
+built once and memoised. The length search judges clients on
 fields.essential, which takes every prime q in one column format, so
 nothing here branches on the field order. Witnesses are always re-verified
 through the decodability engine before being returned. MAX_NODES bounds
 the options the length search tries (its .enumerated), checked as it runs,
-and MAX_SUBSPACES the subspaces minrank_fitted may enumerate.
+and MAX_SUBSPACES the subspaces of the levels minrank_fitted enters.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .instances import PliableInstance, all_pairs_instance
 
 
 MAX_NODES = 10**7  # optimal_code_length's budget on options tried, over all levels
-MAX_SUBSPACES = 10**6  # minrank_fitted's budget on subspaces of dimension 1..max_r
+MAX_SUBSPACES = 10**6  # minrank_fitted's budget on subspaces, checked per level entered
 _BATCH_CELLS = 2**18  # minrank_fitted's cells per batched product (see _batch_size)
 
 
@@ -65,13 +65,15 @@ class SearchResult:
         }
 
 
-def _canonical_options(q: int, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The columns of canonical k-row codes over F_q, and per pivot count r
-    the number of them supported on rows < r.
+@functools.lru_cache(maxsize=16)
+def _tables(q: int, k: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
+    """_search_fixed_length's constants for k-row codes over F_q, built once.
 
-    Ids run: the zero vector, then for b = 0..k-1 the vectors whose last
-    nonzero row is b and whose first nonzero entry is 1, e_b first. So the
-    ids below below[r] are supported on rows < r, and id below[r] is e_r.
+    options are the columns of canonical codes by id: the zero vector, then
+    for b = 0..k-1 the vectors whose last nonzero row is b and whose first
+    nonzero entry is 1, e_b first, so the ids below below[r] are supported on
+    rows < r and id below[r] is e_r. columns holds the options in
+    column_words format. All are tuples, so no search can alter them.
     """
     options = [(0,) * k]
     below = [1]
@@ -84,16 +86,6 @@ def _canonical_options(q: int, k: int) -> tuple[list[tuple[int, ...]], list[int]
             elif lead == 1:
                 options.extend(head + (c,) + tail for c in range(1, q))
         below.append(len(options))
-    return options, below
-
-
-@functools.lru_cache(maxsize=16)
-def _tables(q: int, k: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
-    """_search_fixed_length's constants for k-row codes over F_q, built once:
-    the canonical options, the same in column_words format, below (see
-    _canonical_options) and per pivot count r the limit on option ids. All
-    are tuples, so no search can alter the shared tables."""
-    options, below = _canonical_options(q, k)
     columns = column_words(np.array(options, dtype=np.int64).T, q)
     # Options open with r pivots placed: those below[r] supported on rows < r,
     # plus the new pivot e_r (id below[r]) while r < k.
@@ -252,24 +244,17 @@ def _level(m: int, r: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return bases, support
 
 
-def enumerate_rref_bases(m: int, r: int, q: int):
-    """Yield each r-dimensional subspace of F_q^m once, as its canonical
-    reduced-echelon basis (r x m array), in lexicographic order."""
-    for chunk in _rref_chunks(m, r, q, _batch_size(m, r, q, 0)):
-        yield from chunk
-
-
 def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResult:
     """Smallest r <= max_r such that some r-dimensional subspace of F_q^m
     contains, for every non-vacuous client, a vector with exactly one 1
     inside R_i and zeros on the rest of R_i (coordinates outside R_i are
-    unconstrained). Raises BudgetError when more than MAX_SUBSPACES
-    subspaces have dimension 1..max_r.
+    unconstrained). Raises BudgetError on entering a level r whose
+    subspaces, with those of the levels before it, pass MAX_SUBSPACES.
 
-    Subspaces are tested in enumerate_rref_bases order, a batch of bases
-    per integer product. A batch holds every nonzero vector of each span,
-    so a vector with exactly one nonzero entry inside R_i has a multiple
-    whose entry there is 1, and the nonzero count alone decides.
+    Subspaces are tested in _rref_chunks order, a batch of bases per
+    integer product. A batch holds every nonzero vector of each span, so a
+    vector with exactly one nonzero entry inside R_i has a multiple whose
+    entry there is 1, and the nonzero count alone decides.
     """
     check_integer(max_r, 0, None, "max_r", ValueError)
     spec = FieldSpec(q)
@@ -279,17 +264,18 @@ def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResul
     if not nonvac:
         return SearchResult(0, FMatrix.zeros(0, instance.m, q), 0, _ms(t0))
     m = instance.m
-    total = sum(gaussian_binomial(m, r, q) for r in range(1, max_r + 1))
-    if total > MAX_SUBSPACES:
-        raise BudgetError(f"{total} subspaces to enumerate exceeds budget {MAX_SUBSPACES}")
     # m x clients 0/1 incidence: column c marks client c's required messages.
-    # uint8 counts cannot wrap: level 1 alone holds at least 2^m - 1
-    # subspaces, so the budget keeps m, the largest count, below 20.
+    # The budget holds for every level entered. Level 1 comes first with at
+    # least 2^m - 1 subspaces, so m, the largest uint8 count, stays below 20;
+    # a level entered holds at most MAX_SUBSPACES, so _digits' powers fit int64.
     incidence = instance.adjacency[nonvac].T.astype(np.uint8)
     count = 0
     for r in range(1, max_r + 1):
+        level = gaussian_binomial(m, r, q)
+        if count + level > MAX_SUBSPACES:
+            raise BudgetError(f"{count + level} subspaces of dimension 1..{r} exceed budget {MAX_SUBSPACES}")
         size = _batch_size(m, r, q, len(nonvac))
-        if gaussian_binomial(m, r, q) <= size:
+        if level <= size:
             batches = [_level(m, r, q)]
         else:
             batches = ((b, _supports(b, q)) for b in _rref_chunks(m, r, q, size))

@@ -49,6 +49,8 @@ class TestConfig:
             dict(algorithms=("bogus",)),
             dict(base_seed=-1),  # rejected here, not later inside numpy's seeding
             dict(algorithms=()),  # would run no encoder and write a header-only CSV
+            dict(n_values=(30, 30)),  # would write every row of n = 30 twice
+            dict(algorithms=("bingreedy", "bingreedy")),  # would count one instance twice
         ],
     )
     def test_invalid_configs(self, bad):

@@ -353,6 +353,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert "instances must be >= 1" in capsys.readouterr().err
 
+    def test_repeated_bench_n_exits_2(self, tmp_path, capsys):
+        # Each repeated n wrote its CSV rows twice.
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--n", "20", "20", "--instances", "1", "--out", str(out)]) == 2
+        assert "n values must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

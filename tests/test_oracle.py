@@ -11,8 +11,8 @@ from plicode.fields import FieldError, FMatrix, _rref, essential_columns, rank_g
 from plicode.instances import all_pairs_instance, build_instance, random_instance
 from plicode.oracle import (
     BudgetError,
+    OracleError,
     count_pairwise_independent,
-    enumerate_rref_bases,
     gaussian_binomial,
     min_field_for_length2,
     minrank_fitted,
@@ -54,6 +54,13 @@ def reference_optimal_code_length(instance, q, max_K):
     return None, None, counter
 
 
+def rref_bases(m, r, q):
+    """Each r-dimensional subspace of F_q^m as its canonical reduced-echelon
+    basis (r x m array), in the order minrank_fitted tests them."""
+    for chunk in oracle._rref_chunks(m, r, q, 64):
+        yield from chunk
+
+
 def _has_fitting_vector(vecs, req):
     sub = vecs[:, req]
     return bool((((sub == 1).sum(axis=1) == 1) & ((sub != 0).sum(axis=1) == 1)).any())
@@ -64,7 +71,7 @@ def reference_minrank_fitted(instance, q, max_r):
     count = 0
     for r in range(1, max_r + 1):
         coeffs = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)[1:]
-        for basis in enumerate_rref_bases(instance.m, r, q):
+        for basis in rref_bases(instance.m, r, q):
             count += 1
             vecs = (coeffs @ basis) % q
             if all(_has_fitting_vector(vecs, req) for req in reqs):
@@ -199,7 +206,7 @@ class TestCanonicalCodes:
         # search may visit, those whose every column is an option open at its
         # pivot count, and each has the original's essential columns on every
         # column subset, so every client's verdict.
-        options, below = oracle._canonical_options(q, k)
+        options, _, below, _ = oracle._tables(q, k)
         allowed = set()
         for seq in itertools.product(range(len(options)), repeat=m):  # at most 512
             r = 0
@@ -316,7 +323,7 @@ class TestSubspaceEnumeration:
             span = _span(np.array(entries).reshape(r, m), q)
             if len(span) == q**r:
                 every.add(span)
-        bases = list(enumerate_rref_bases(m, r, q))
+        bases = list(rref_bases(m, r, q))
         spans = [_span(b, q) for b in bases]
         assert len(set(spans)) == len(spans)
         assert set(spans) == every
@@ -333,16 +340,16 @@ class TestSubspaceEnumeration:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_count_3_2_2(self):
-        bases = list(enumerate_rref_bases(3, 2, 2))
+        bases = list(rref_bases(3, 2, 2))
         assert len(bases) == 7 == gaussian_binomial(3, 2, 2)
 
     @pytest.mark.parametrize("m,r,q", [(3, 1, 2), (4, 2, 3), (4, 3, 2), (2, 2, 5)])
     def test_counts_match_closed_form(self, m, r, q):
-        assert len(list(enumerate_rref_bases(m, r, q))) == gaussian_binomial(m, r, q)
+        assert len(list(rref_bases(m, r, q))) == gaussian_binomial(m, r, q)
 
     def test_bases_distinct_and_full_rank(self):
         seen = set()
-        for basis in enumerate_rref_bases(4, 2, 3):
+        for basis in rref_bases(4, 2, 3):
             assert rank_generic(basis, 3) == 2
             key = tuple(basis.flatten())
             assert key not in seen
@@ -375,6 +382,12 @@ class TestMinrankFitted:
         res = minrank_fitted(all_pairs_instance(6), 5, max_r=2)
         assert _outcome(res) == (2, [[1, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 4]], 101_601)
 
+    def test_budget_counts_only_the_levels_entered(self):
+        # Levels 1..6 of F_5^6 hold 3,583,231 subspaces, past MAX_SUBSPACES,
+        # but the search ends in level 2, and levels 1..2 hold 512,337.
+        res = minrank_fitted(all_pairs_instance(6), 5, max_r=6)
+        assert _outcome(res) == (2, [[1, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 4]], 101_601)
+
     def test_equals_optimal_length_on_random_instances(self):
         matched = 0
         for trial in range(30):
@@ -385,6 +398,17 @@ class TestMinrankFitted:
             assert opt == mr
             matched += 1
         assert matched == 30
+
+
+@pytest.mark.parametrize(
+    "search, cap", [(optimal_code_length, "max_K"), (minrank_fitted, "max_r")], ids=["length", "minrank"]
+)
+def test_witness_failing_reverification_raises(monkeypatch, quad_instance, search, cap):
+    # Each search re-verifies its witness through the decodability engine.
+    assert search(quad_instance, 3, **{cap: 2}).value == 2
+    monkeypatch.setattr(oracle, "is_valid_code", lambda matrix, instance: False)
+    with pytest.raises(OracleError, match="invalid witness"):
+        search(quad_instance, 3, **{cap: 2})
 
 
 class TestFieldSize:

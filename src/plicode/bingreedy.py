@@ -6,8 +6,8 @@ them into degree bands by reports.dyadic_band, greedily assigns one of the
 three nonzero 2-bit coding vectors per message (greedy_assign) so that two
 transmissions per group satisfy at least a third of the group's effective
 clients, writes the group's two rows and records the group and the round.
-sort_and_group returns the order, each message's effective clients and
-the groups; greedy_assign returns the vectors and the SAT clients.
+sort_and_group returns the effective clients by message, in greedy order,
+and the groups; greedy_assign returns the vectors and the SAT clients.
 Rounds repeat until every client is satisfied; reports.encoded stacks the
 rows of all rounds.
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FMatrix, check_integer, check_integers
+from .fields import FMatrix, check_integers
 from .instances import InstanceError, PliableInstance, adjacency_matrix
 from .reports import GroupRecord, RoundRecord, RunReport, dyadic_band, encoded
 
@@ -34,16 +34,15 @@ class EncoderStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class SortingResult:
-    """Greedy message order, each message's effective clients, and dyadic groups.
+    """Each message's effective clients, keyed in the greedy order, and dyadic groups.
 
-    groups[s-1] holds the messages whose effective degree d = |eff_clients|
-    satisfies n_thr / 2^s < d <= n_thr / 2^(s-1), n_thr being sort_and_group's
-    threshold_n (|active| by default). Messages whose effective degree is 0
-    appear in neither the order nor any group.
+    groups[s-1] holds the messages j whose effective degree d = |eff[j]|
+    satisfies n_thr / 2^s < d <= n_thr / 2^(s-1), n_thr being |active|, or
+    the instance's n when sort_and_group's use_original_n is set. Messages
+    whose effective degree is 0 appear in neither eff nor any group.
     """
 
-    order: list[int]
-    eff_clients: list[frozenset[int]]
+    eff: dict[int, frozenset[int]]
     groups: list[list[int]]
 
 
@@ -58,17 +57,16 @@ class GroupCode:
 def sort_and_group(
     instance: PliableInstance,
     active: set[int],
-    threshold_n: int | None = None,
+    use_original_n: bool = False,
 ) -> SortingResult:
     """Greedy max-remaining-degree ordering plus dyadic grouping.
 
-    threshold_n defaults to |active|; passing the instance's original n
-    reproduces the fixed-threshold grouping variant. active must be a
-    nonempty set of clients in [0, n), and threshold_n an integer >= 1.
+    The bands are cut against |active|, or against the instance's original
+    n when use_original_n is set (the fixed-threshold variant). active must
+    be a nonempty set of clients in [0, n).
     """
     check_integers(active, 0, instance.n, "active client", InstanceError)
-    n_thr = len(active) if threshold_n is None else (
-        check_integer(threshold_n, 1, None, "threshold_n", ValueError))
+    n_thr = instance.n if use_original_n else len(active)
     adj = adjacency_matrix(instance)
     indptr, indices = instance.clients_by_message
     bounds = indptr.tolist()
@@ -79,8 +77,7 @@ def sort_and_group(
     np.cumsum(remaining[indices], out=csum[1:])
     deg = np.diff(csum[indptr])
 
-    order: list[int] = []
-    eff_clients: list[frozenset[int]] = []
+    eff: dict[int, frozenset[int]] = {}
     # Removing j's remaining clients drops deg[j] to 0, so a chosen message
     # is never the argmax again while any degree is positive.
     while True:
@@ -89,17 +86,16 @@ def sort_and_group(
             break
         col = indices[bounds[j] : bounds[j + 1]]
         clients = col[remaining[col]]
-        order.append(j)
-        eff_clients.append(frozenset(clients.tolist()))
+        eff[j] = frozenset(clients.tolist())
         remaining[clients] = False
         # No column sum exceeds n, so the narrowest type holding n is exact.
         deg -= adj[clients].sum(axis=0, dtype=acc)
 
     smax = max(1, n_thr.bit_length())
     groups: list[list[int]] = [[] for _ in range(smax)]
-    for j, s in zip(order, dyadic_band([len(c) for c in eff_clients], n_thr).tolist()):
+    for j, s in zip(eff, dyadic_band([len(c) for c in eff.values()], n_thr).tolist()):
         groups[s - 1].append(j)
-    return SortingResult(order, eff_clients, groups)
+    return SortingResult(eff, groups)
 
 
 def _counts_ok(counts: list[int]) -> bool:
@@ -175,23 +171,21 @@ def bingreedy(
     |active| to the instance's original client count. The returned matrix
     keeps its all-zero rows; the report carries both row counts.
     """
-    thr = instance.n if use_original_n else None
     active = set(instance.non_vacuous_clients())
     all_rows: list[np.ndarray] = []
     round_records: list[RoundRecord] = []
     while active:
-        sr = sort_and_group(instance, active, threshold_n=thr)
-        eff_by_msg = dict(zip(sr.order, sr.eff_clients))
+        sr = sort_and_group(instance, active, use_original_n)
         bands = [(s, group) for s, group in enumerate(sr.groups, start=1) if group]
         # Two rows per nonempty group, zero outside the group's columns.
         rows = np.zeros((2 * len(bands), instance.m), dtype=np.int64)
         groups: list[GroupRecord] = []
         satisfied: set[int] = set()
         for g, (s, group) in enumerate(bands):
-            gc = greedy_assign(instance, group, eff_by_msg)
+            gc = greedy_assign(instance, group, sr.eff)
             rows[2 * g : 2 * g + 2, group] = np.array(gc.vectors).T
             # The round's effective-client sets are disjoint, so this is |SAT| + |UNSAT|.
-            eff = sum(len(eff_by_msg[j]) for j in group)
+            eff = sum(len(sr.eff[j]) for j in group)
             groups.append(GroupRecord(s, group, len(gc.sat), eff))
             satisfied |= gc.sat
         if not satisfied:

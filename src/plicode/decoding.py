@@ -4,17 +4,17 @@ A client can uniquely decode message j iff column a_j lies outside the
 span of the other columns indexed by its requirement set. The whole-code
 checks put the code's columns in fields.column_words format once and run
 fields.essential per client, reading each R_i as a slice of the instance's
-client-major view; decodable_messages goes through fields.essential_columns.
-The single-client readers read the client's adjacency row and build no
-view. satisfied_set takes only the code and the instance: every non-vacuous
-client is judged.
+client-major view; decodable_messages runs fields.essential_columns on R_i,
+empty or not. The single-client readers read the client's adjacency row and
+build no view. satisfied_set takes only the code and the instance: every
+non-vacuous client is judged.
 
 decode_value strips the side information through the code's own
 mul_vector, on a message vector that is zero on R_i, and recovers a value
 from one fields.solve call on the client's required columns and the
 stripped transmissions: the same elimination that decides decodability
 yields one solution, read at the smallest decodable index. Nothing here
-branches on the field order.
+branches on the field order or checks it: the code's FieldSpec did.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ def decodable_messages(mat: FMatrix, instance: PliableInstance, i: int) -> set[i
     Raises InstanceError unless i is an integer in [0, n)."""
     _check_shape(mat, instance)
     req = np.flatnonzero(instance.client_row(i))
-    if not req.size:
-        return set()
     mask = essential_columns(mat.entries[:, req], mat.field.q)
     return set(req[mask].tolist())
 

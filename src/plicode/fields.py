@@ -7,10 +7,10 @@ column-insertion kernel for every prime q: column_words turns each column
 into one Python int with row r at bit r (F_2, eliminated by XOR; every
 column packed by one numpy call into 64-bit limbs) or a tuple of reduced
 Python ints (q > 2). _rref, rank_generic, in_span and solve_consistent form
-an independent int64 RREF reference (in_span on one RREF); field orders are
-capped at MAX_ORDER so that every product of two reduced entries fits in
-int64. Degenerate-shape conventions: an empty matrix has rank 0, and the
-span of an empty set of vectors is {0}.
+an independent int64 RREF reference (in_span on one RREF). FieldSpec alone
+checks a field order: a prime at most MAX_ORDER, so every product of two
+reduced entries fits in int64. The kernels take a bare q from a FieldSpec.
+An empty matrix has rank 0, and the span of an empty set of vectors is {0}.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ def field_vector(x, q: int, what: str) -> np.ndarray:
     return (a % q).astype(np.int64)
 
 
-def _check_order(q: int) -> None:
-    if q > MAX_ORDER:
-        raise FieldError(f"field order must be <= {MAX_ORDER}, got {q}")
-
-
 def is_prime(n: int) -> bool:
     """Trial-division primality test: at most ~46k divisions for any order up to MAX_ORDER."""
     if n < 2:
@@ -120,7 +115,8 @@ class FieldSpec:
     def __post_init__(self):
         # A numpy order is stored as a Python int, so to_json output stays serialisable.
         object.__setattr__(self, "q", check_integer(self.q, 2, None, "field order", FieldError))
-        _check_order(self.q)
+        if self.q > MAX_ORDER:
+            raise FieldError(f"field order must be <= {MAX_ORDER}, got {self.q}")
         if not is_prime(self.q):
             raise FieldError(f"field order must be a prime >= 2, got {self.q}")
 
@@ -206,7 +202,6 @@ class FMatrix:
 
 def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q; returns (R, pivot column list)."""
-    _check_order(q)
     r = np.asarray(a, dtype=np.int64).copy() % q
     n_rows, n_cols = r.shape
     pivots: list[int] = []
@@ -233,7 +228,8 @@ def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
 def rank_generic(a: np.ndarray, q: int) -> int:
     """Rank over F_q via Gaussian elimination on a plain integer array;
-    raises FieldError on any non-integer entry."""
+    raises FieldError on an order FieldSpec refuses or any non-integer entry."""
+    q = FieldSpec(q).q
     a = np.asarray(a)
     _require_integers(a, "matrix entries")
     if a.size == 0:
@@ -260,22 +256,23 @@ def column_words(a: np.ndarray, q: int) -> list:
         for t in range(1, limbs):
             out = [w | h << 64 * t for w, h in zip(out, words[:, t].tolist())]
         return out
-    _check_order(q)
     return [tuple(col) for col in (np.asarray(a, dtype=np.int64) % q).T.tolist()]
 
 
 def _eliminate(words: Sequence, q: int) -> tuple[dict, int]:
-    """Column insertion into a basis keyed by lead; returns (basis, dependent-column mask).
+    """Column insertion into a basis keyed by lead; returns (basis, essential-column mask).
 
     Each basis vector carries the input columns that sum to it: over F_2 a
     (word, column mask) pair keyed by the leading bit; over q > 2 one list,
     the k entries scaled to a lead of 1 and then one coefficient per column,
     keyed by its first nonzero row. A column that reduces to zero yields one
     null-space vector; these span the null space, so the union of their
-    supports is the set of columns that occur in some dependency.
+    supports is the set of columns that occur in some dependency, and the
+    essential columns are the rest.
     """
     basis: dict = {}
     dependent = 0
+    n = len(words)
     if q == 2:
         for t, w in enumerate(words):
             combo = 1 << t
@@ -289,34 +286,33 @@ def _eliminate(words: Sequence, q: int) -> tuple[dict, int]:
                 combo ^= hit[1]
             else:
                 dependent |= combo
-        return basis, dependent
-    n = len(words)
-    for t, col in enumerate(words):
-        k = len(col)
-        v = [x % q for x in col] + [0] * n
-        v[k + t] = 1
-        for r in range(k):
-            a = v[r]
-            if not a:
-                continue
-            hit = basis.get(r)
-            if hit is None:
-                if a != 1:
-                    inv = pow(a, -1, q)
-                    v = [x * inv % q for x in v]
-                basis[r] = v
-                break
-            v = [(x - a * y) % q for x, y in zip(v, hit)]
-        else:
-            for j in range(n):
-                if v[k + j]:
-                    dependent |= 1 << j
-    return basis, dependent
+    else:
+        for t, col in enumerate(words):
+            k = len(col)
+            v = [x % q for x in col] + [0] * n
+            v[k + t] = 1
+            for r in range(k):
+                a = v[r]
+                if not a:
+                    continue
+                hit = basis.get(r)
+                if hit is None:
+                    if a != 1:
+                        inv = pow(a, -1, q)
+                        v = [x * inv % q for x in v]
+                    basis[r] = v
+                    break
+                v = [(x - a * y) % q for x, y in zip(v, hit)]
+            else:
+                for j in range(n):
+                    if v[k + j]:
+                        dependent |= 1 << j
+    return basis, ((1 << n) - 1) & ~dependent
 
 
 def essential(words: Sequence, q: int) -> int:
     """Bit t set iff column t (column_words format) lies outside the F_q span of the others."""
-    return ((1 << len(words)) - 1) & ~_eliminate(words, q)[1]
+    return _eliminate(words, q)[1]
 
 
 def solve(words: Sequence, target, q: int) -> tuple[list[int], int]:
@@ -327,7 +323,7 @@ def solve(words: Sequence, target, q: int) -> tuple[list[int], int]:
     agrees with it on the essential columns. Raises InconsistentSystemError
     if target is outside the column span.
     """
-    basis, dependent = _eliminate(words, q)
+    basis, ess = _eliminate(words, q)
     n = len(words)
     if q == 2:
         y = 0
@@ -350,7 +346,7 @@ def solve(words: Sequence, target, q: int) -> tuple[list[int], int]:
                     raise InconsistentSystemError("rhs is not in the column space")
                 v = [(x - a * y) % q for x, y in zip(v, hit)]
         values = [-x % q for x in v[k:]]
-    return values, ((1 << n) - 1) & ~dependent
+    return values, ess
 
 
 def rank(mat: FMatrix) -> int:
@@ -397,14 +393,14 @@ def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
 
     Column j is outside the span of the rest iff every null-space vector of
     the matrix has a zero j-th coordinate; essential finds them. Raises
-    FieldError on any non-integer entry.
+    FieldError on an order FieldSpec refuses or any non-integer entry.
     """
+    q = FieldSpec(q).q
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
         a = field_vector(a, q, "matrix entries")
-    words = column_words(a, q)
-    ess = essential(words, int(q))
-    return np.array([(ess >> t) & 1 for t in range(len(words))], dtype=bool)
+    ess = essential(column_words(a, q), q)
+    return np.array([(ess >> t) & 1 for t in range(a.shape[1])], dtype=bool)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,11 @@ def _search_fixed_length(
     """
     m = instance.m
     budget = MAX_NODES
+    # Option id t is tried only after ids 0..t-1 at its column, so no id >= budget
+    # is ever read: a larger table is refused unbuilt (at a large q it cannot fit).
+    n_options = 1 + (q**k - 1) // (q - 1)
+    if n_options > budget:
+        raise BudgetError(f"{n_options} options per column at K = {k} pass budget {budget} on options tried")
     options, columns, below, limit = _tables(q, k)
     # Per column, the key getters of the clients whose last required column
     # it is; itemgetter of one index returns it bare, so that key is wrapped.
@@ -161,7 +166,8 @@ def optimal_code_length(instance: PliableInstance, q: int, max_K: int) -> Search
 
     Raises BudgetError once the search, over all levels so far, has tried
     more than MAX_NODES options without having found a code, so the budget
-    bounds .enumerated itself. value is None when no code of length
+    bounds .enumerated itself, or on entering a level with more than
+    MAX_NODES options per column. value is None when no code of length
     <= max_K exists.
     """
     check_integer(max_K, 0, None, "max_K", ValueError)
@@ -219,9 +225,9 @@ def _rref_chunks(m: int, r: int, q: int, size: int):
 
 
 def _batch_size(m: int, r: int, q: int, clients: int) -> int:
-    """Bases per batch, so that their spans' supports and client counts,
-    (q^r - 1) x (m + clients) cells per basis, fill at most _BATCH_CELLS."""
-    return max(1, _BATCH_CELLS // max(1, (q**r - 1) * (m + clients)))
+    """Bases per batch whose spans' supports and client counts, (q^r - 1) x
+    (m + clients) cells per basis, fill at most _BATCH_CELLS: possibly 0."""
+    return _BATCH_CELLS // ((q**r - 1) * (m + clients))
 
 
 def _supports(bases: np.ndarray, q: int) -> np.ndarray:
@@ -249,7 +255,8 @@ def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResul
     contains, for every non-vacuous client, a vector with exactly one 1
     inside R_i and zeros on the rest of R_i (coordinates outside R_i are
     unconstrained). Raises BudgetError on entering a level r whose
-    subspaces, with those of the levels before it, pass MAX_SUBSPACES.
+    subspaces, with those of the levels before it, pass MAX_SUBSPACES, or
+    one of whose spans alone fills more than _BATCH_CELLS cells.
 
     Subspaces are tested in _rref_chunks order, a batch of bases per
     integer product. A batch holds every nonzero vector of each span, so a
@@ -275,6 +282,8 @@ def minrank_fitted(instance: PliableInstance, q: int, max_r: int) -> SearchResul
         if count + level > MAX_SUBSPACES:
             raise BudgetError(f"{count + level} subspaces of dimension 1..{r} exceed budget {MAX_SUBSPACES}")
         size = _batch_size(m, r, q, len(nonvac))
+        if not size:
+            raise BudgetError(f"one span of dimension {r} over F_{q} passes the batch budget {_BATCH_CELLS}")
         if level <= size:
             batches = [_level(m, r, q)]
         else:

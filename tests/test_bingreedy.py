@@ -25,33 +25,36 @@ from plicode.instances import InstanceError, adjacency_matrix, build_instance, r
 from test_reports import _band_index
 
 
-def reference_sort_and_group(instance, active, threshold_n=None):
+def reference_sort_and_group(instance, active, use_original_n=False):
     """sort_and_group on the dense adjacency: degrees from a row-subset sum,
     each message's clients from its strided column."""
     adj = adjacency_matrix(instance)
-    n_thr = len(active) if threshold_n is None else threshold_n
+    n_thr = instance.n if use_original_n else len(active)
     remaining = np.zeros(instance.n, dtype=bool)
     remaining[sorted(active)] = True
     deg = adj[remaining].sum(axis=0).astype(np.int64)
     avail = np.ones(instance.m, dtype=bool)
-    order, eff_clients, eff_degree = [], [], []
+    eff = {}
     while True:
         masked = np.where(avail, deg, -1)
         j = int(np.argmax(masked))
         if masked[j] <= 0:
             break
         clients = np.nonzero(adj[:, j] & remaining)[0]
-        order.append(j)
-        eff_clients.append(frozenset(int(c) for c in clients))
-        eff_degree.append(int(clients.size))
+        eff[j] = frozenset(int(c) for c in clients)
         remaining[clients] = False
         deg -= adj[clients].sum(axis=0)
         avail[j] = False
     smax = max(1, n_thr.bit_length())
     groups = [[] for _ in range(smax)]
-    for j, d in zip(order, eff_degree):
-        groups[_band_index(d, n_thr) - 1].append(j)
-    return SortingResult(order, eff_clients, groups)
+    for j, clients in eff.items():
+        groups[_band_index(len(clients), n_thr) - 1].append(j)
+    return SortingResult(eff, groups)
+
+
+def ordered(sr):
+    """sr in a form whose == also compares eff's key order, the greedy order."""
+    return list(sr.eff.items()), sr.groups
 
 
 def reference_greedy_assign(instance, group, eff):
@@ -89,18 +92,16 @@ def test_matches_dense_reference(n, p, use_original_n):
     # agree with the column-scanning reference, round by round; each group
     # record's eff is its SAT plus its UNSAT clients.
     inst = random_instance(n, round(n**0.75), p, seed=[n, 9])
-    thr = inst.n if use_original_n else None
     active = set(inst.non_vacuous_clients())
     rows, records = [], []
     while active:
-        sr = sort_and_group(inst, active, threshold_n=thr)
-        assert sr == reference_sort_and_group(inst, active, threshold_n=thr)
-        eff = dict(zip(sr.order, sr.eff_clients))
+        sr = sort_and_group(inst, active, use_original_n)
+        assert ordered(sr) == ordered(reference_sort_and_group(inst, active, use_original_n))
         satisfied = set()
         for s, group in enumerate(sr.groups, start=1):
             if group:
-                gc = greedy_assign(inst, group, eff)
-                ref, unsat = reference_greedy_assign(inst, group, eff)
+                gc = greedy_assign(inst, group, sr.eff)
+                ref, unsat = reference_greedy_assign(inst, group, sr.eff)
                 assert gc == ref
                 records.append((s, group, len(ref.sat), len(ref.sat) + len(unsat)))
                 rows += [[0] * inst.m, [0] * inst.m]
@@ -137,38 +138,35 @@ class TestSortAndGroup:
         inst = build_instance(2, [{0, 1}] * 300)
         active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
-        ref = reference_sort_and_group(inst, active)
-        assert sr == ref
-        assert (sr.order, [len(c) for c in sr.eff_clients]) == ([0], [300])
+        assert ordered(sr) == ordered(reference_sort_and_group(inst, active))
+        assert [(j, len(c)) for j, c in sr.eff.items()] == [(0, 300)]
 
     def test_demo_ordering_and_groups(self, demo_instance):
         sr = sort_and_group(demo_instance, set(demo_instance.non_vacuous_clients()))
-        assert sr.order == [0, 1, 2]
-        assert sr.eff_clients == [
-            frozenset({0, 3, 4, 6}),
-            frozenset({1, 5}),
-            frozenset({2}),
+        assert list(sr.eff.items()) == [
+            (0, frozenset({0, 3, 4, 6})),
+            (1, frozenset({1, 5})),
+            (2, frozenset({2})),
         ]
         assert sr.groups == [[0], [1], [2]]
 
     def test_single_message_single_client(self):
         inst = build_instance(1, [{0}])
         sr = sort_and_group(inst, {0})
-        assert sr.order == [0] and sr.eff_clients == [frozenset({0})]
+        assert list(sr.eff.items()) == [(0, frozenset({0}))]
         assert sr.groups == [[0]]
 
     def test_duplicate_neighbor_sets_drop_second(self):
         inst = build_instance(2, [{0, 1}, {0, 1}])
         sr = sort_and_group(inst, {0, 1})
-        assert sr.order == [0]
-        assert sr.eff_clients == [frozenset({0, 1})]
+        assert list(sr.eff.items()) == [(0, frozenset({0, 1}))]
 
     def test_effective_clients_partition_active(self):
         inst = random_instance(30, 8, 0.4, seed=2)
         active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
         seen = set()
-        for eff in sr.eff_clients:
+        for eff in sr.eff.values():
             assert not (seen & eff)
             seen |= eff
         assert seen == active
@@ -178,7 +176,7 @@ class TestSortAndGroup:
         inst = random_instance(50, 12, 0.3, seed=3)
         active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
-        by_msg = {j: len(eff) for j, eff in zip(sr.order, sr.eff_clients)}
+        by_msg = {j: len(eff) for j, eff in sr.eff.items()}
         for s, group in enumerate(sr.groups, start=1):
             for j in group:
                 assert len(active) / 2**s < by_msg[j] <= len(active) / 2 ** (s - 1)
@@ -192,7 +190,7 @@ class TestSortAndGroup:
         for s, group in enumerate(sr.groups, start=1):
             group_set = set(group)
             eff_union = set()
-            for j, eff in zip(sr.order, sr.eff_clients):
+            for j, eff in sr.eff.items():
                 if j in group_set:
                     eff_union |= eff
             for j in group:
@@ -207,7 +205,7 @@ class TestSortAndGroup:
         sr = sort_and_group(inst, active)
         remaining = set(active)
         unpicked = set(range(inst.m))
-        for j, eff in zip(sr.order, sr.eff_clients):
+        for j, eff in sr.eff.items():
             count = lambda msg: sum(1 for i in remaining if msg in inst.requirements[i])
             assert count(j) == len(eff)
             assert all(count(other) <= len(eff) for other in unpicked)
@@ -217,7 +215,7 @@ class TestSortAndGroup:
     def test_original_n_threshold_variant(self, demo_instance):
         # Messages 1 and 2 have effective degrees 2 and 1 among clients
         # {1, 2, 5}: bands 2 and 3 against n = 7, bands 1 and 2 against 3.
-        sr = sort_and_group(demo_instance, {1, 2, 5}, threshold_n=demo_instance.n)
+        sr = sort_and_group(demo_instance, {1, 2, 5}, use_original_n=True)
         assert sr.groups == [[], [1], [2]]
         assert sort_and_group(demo_instance, {1, 2, 5}).groups == [[1], [2]]
 
@@ -230,12 +228,6 @@ class TestSortAndGroup:
         # -1 was read as client n-1; 7 and 1.0 raised numpy's IndexError.
         with pytest.raises(InstanceError, match="active client"):
             sort_and_group(demo_instance, active)
-
-    @pytest.mark.parametrize("threshold_n", [-3, 0, True, 2.5])
-    def test_bad_threshold_rejected(self, demo_instance, threshold_n):
-        # -3 and True gave groups; 2.5 raised AttributeError.
-        with pytest.raises(ValueError, match="threshold_n"):
-            sort_and_group(demo_instance, {0, 1}, threshold_n=threshold_n)
 
 
 class TestGreedyAssign:
@@ -266,14 +258,13 @@ class TestGreedyAssign:
         inst = random_instance(40, 10, 0.4, seed=6)
         active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
-        eff = dict(zip(sr.order, sr.eff_clients))
         spec = FieldSpec(2)
         for group in sr.groups:
             if not group:
                 continue
-            gc = greedy_assign(inst, group, eff)
+            gc = greedy_assign(inst, group, sr.eff)
             for k in range(1, len(group) + 1):
-                step = greedy_assign(inst, group[:k], eff)
+                step = greedy_assign(inst, group[:k], sr.eff)
                 assert step.vectors == gc.vectors[:k]
                 visited = {j: np.array(v) for j, v in zip(group, step.vectors)}
                 for i in step.sat:

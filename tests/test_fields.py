@@ -114,6 +114,15 @@ class TestArithmetic:
         with pytest.raises(FieldError, match="integer"):
             kernel(np.array(a), q)
 
+    @pytest.mark.parametrize("q", [0, 1, 4, MAX_ORDER + 2])
+    @pytest.mark.parametrize("kernel", [rank_generic, essential_columns], ids=lambda f: f.__name__)
+    def test_rejects_what_fieldspec_rejects(self, kernel, q):
+        # Each takes its order through FieldSpec. On [[1, 1]], rank_generic read
+        # rank 0 at q = 0 and 1 and rank 1 at q = 4, and essential_columns raised
+        # ZeroDivisionError at q = 0 and read [False, False] at q = 1 and 4.
+        with pytest.raises(FieldError):
+            kernel(np.array([[1, 1]]), q)
+
     @pytest.mark.parametrize("q", [2, 3])
     def test_essential_columns_reads_integer_objects_as_int64(self, q):
         # Over F_2 numpy's packbits refused an object array with a bare TypeError.

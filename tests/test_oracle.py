@@ -7,7 +7,7 @@ import pytest
 
 from plicode import oracle
 from plicode.decoding import is_valid_code
-from plicode.fields import FieldError, FMatrix, _rref, essential_columns, rank_generic
+from plicode.fields import MAX_ORDER, FieldError, FMatrix, _rref, essential_columns, rank_generic
 from plicode.instances import all_pairs_instance, build_instance, random_instance
 from plicode.oracle import (
     BudgetError,
@@ -139,6 +139,23 @@ class TestOptimalCodeLength:
         with pytest.raises(BudgetError, match="K = 2"):
             optimal_code_length(quad_instance, q=3, max_K=20)
         assert levels[-1] == (2, [11])
+
+    def test_option_table_past_the_budget_refused(self, monkeypatch):
+        # Level k over F_q has 1 + (q^k - 1) / (q - 1) options per column, and
+        # no id >= MAX_NODES is ever tried, so a larger table is refused before
+        # it is built: at q = 2^31 - 1, level 2 would hold 2^31 + 1 options.
+        inst = all_pairs_instance(3)
+        res = optimal_code_length(inst, 100003, 2)
+        assert (res.value, res.enumerated) == (2, 13)
+        oracle._tables.cache_clear()  # drop the 100,005-option table
+        with pytest.raises(BudgetError, match="options per column at K = 2"):
+            optimal_code_length(inst, MAX_ORDER, 2)
+        # Over F_101, level 2 has 103 options per column.
+        monkeypatch.setattr(oracle, "MAX_NODES", 103)
+        assert optimal_code_length(inst, 101, 2).value == 2
+        monkeypatch.setattr(oracle, "MAX_NODES", 102)
+        with pytest.raises(BudgetError, match="103 options"):
+            optimal_code_length(inst, 101, 2)
 
     def test_numpy_budget_does_not_wrap(self):
         # Level 1 holds 2^64 canonical codes, a count that reads 0 in int64;
@@ -375,6 +392,16 @@ class TestMinrankFitted:
         monkeypatch.setattr(oracle, "MAX_SUBSPACES", 100)
         with pytest.raises(BudgetError):
             minrank_fitted(inst, q=5, max_r=6)
+
+    def test_span_past_a_batch_refused(self):
+        # A basis of dimension r spans (q^r - 1) x (m + clients) cells; one that
+        # alone passes _BATCH_CELLS = 262,144 is refused on entering its level.
+        # At q = 1000003 the one subspace of F_q^1 memoised 2 x 10^6 cells.
+        inst = build_instance(1, [{0}])
+        assert minrank_fitted(inst, 131071, 1).value == 1  # 262,140 cells
+        for q in (131101, 1000003, MAX_ORDER):
+            with pytest.raises(BudgetError, match="batch"):
+                minrank_fitted(inst, q, 1)
 
     def test_all_pairs_m6_over_f5(self):
         # Level 2 spans many batches, and the per-client reference takes

@@ -132,9 +132,9 @@ SETTABLE = {
         "rounds", "satisfied", "runtime_ms",
     ],
     "bingreedy.GroupCode": ["vectors", "sat"],
-    "bingreedy.SortingResult": ["order", "eff_clients", "groups"],
+    "bingreedy.SortingResult": ["eff", "groups"],
     "bingreedy.bingreedy": ["use_original_n"],
-    "bingreedy.sort_and_group": ["threshold_n"],
+    "bingreedy.sort_and_group": ["use_original_n"],
     "cli.main": ["argv"],
     "decoding.ClientStatus": ["client", "status", "decodes"],
     "fields.FMatrix": ["entries", "field"],

@@ -64,15 +64,21 @@ def check_integer(x, lo: int, hi: int | None, what: str, error: type[ValueError]
 
 def check_integers(values, lo: int, hi: int | None, what: str, error: type[ValueError]) -> None:
     """Raises error unless values is a nonempty collection of members check_integer
-    accepts. It checks one member of each type but int, then the smallest and the
-    largest (sorted compares plain ints faster than min and max do)."""
-    if not values:
+    accepts. An integer ndarray needs only its min and max checked. Any other
+    collection (a bool, float or object array too) has one member of each type
+    but int checked, then its smallest and largest (sorted compares plain ints
+    faster than min and max do)."""
+    if len(values) == 0:
         raise error(f"no {what} given")
-    for t in set(map(type, values)) - {int}:
-        check_integer(next(x for x in values if type(x) is t), lo, hi, what, error)
-    ordered = sorted(values)
-    check_integer(ordered[0], lo, hi, what, error)
-    check_integer(ordered[-1], lo, hi, what, error)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        extremes = values.min(), values.max()
+    else:
+        for t in set(map(type, values)) - {int}:
+            check_integer(next(x for x in values if type(x) is t), lo, hi, what, error)
+        ordered = sorted(values)
+        extremes = ordered[0], ordered[-1]
+    for x in extremes:
+        check_integer(x, lo, hi, what, error)
 
 
 def check_probability(p, what: str, error: type[ValueError]) -> None:

@@ -225,7 +225,9 @@ def all_pairs_instance(m: int) -> PliableInstance:
 
 
 def adjacency_matrix(instance: PliableInstance) -> np.ndarray:
-    """The instance's read-only n x m boolean adjacency."""
+    """The instance's read-only n x m boolean adjacency. No program path calls
+    it (they read instance.adjacency); it stays because perfbench's tracer
+    binds it by name."""
     return instance.adjacency
 
 

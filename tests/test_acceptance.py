@@ -36,7 +36,7 @@ def test_criterion_1_demo_sorting_and_single_round(demo_instance):
     sr = sort_and_group(demo_instance, set(demo_instance.non_vacuous_clients()))
     ok = (
         [(j, len(c)) for j, c in sr.eff.items()] == [(0, 4), (1, 2), (2, 1)]
-        and sr.eff[0] == frozenset({0, 3, 4, 6})
+        and sr.eff[0].tolist() == [0, 3, 4, 6]
         and sr.groups == [[0], [1], [2]]
     )
     matrix, report = bingreedy(demo_instance)

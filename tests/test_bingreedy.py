@@ -12,8 +12,11 @@ from plicode.bingreedy import (
     EncoderStallError,
     GroupCode,
     SortingResult,
+    _ABSENT,
+    _KEEP,
     _NEXT,
     _OK,
+    _STEP,
     _counts_ok,
     bingreedy,
     greedy_assign,
@@ -53,8 +56,23 @@ def reference_sort_and_group(instance, active, use_original_n=False):
 
 
 def ordered(sr):
-    """sr in a form whose == also compares eff's key order, the greedy order."""
-    return list(sr.eff.items()), sr.groups
+    """The reference's sr in a form whose == also compares eff's key order,
+    the greedy order, and each message's clients in increasing order."""
+    return [(j, sorted(c)) for j, c in sr.eff.items()], sr.groups
+
+
+def program(sr):
+    """sort_and_group's sr in ordered's form, after checking that each eff
+    array is read-only and increasing."""
+    for c in sr.eff.values():
+        assert not c.flags.writeable and (np.diff(c.astype(np.int64)) > 0).all()
+    return [(j, c.tolist()) for j, c in sr.eff.items()], sr.groups
+
+
+def code(gc):
+    """greedy_assign's GroupCode in reference_greedy_assign's form."""
+    assert (np.diff(gc.sat) > 0).all()
+    return GroupCode(vectors=gc.vectors, sat=set(gc.sat.tolist()))
 
 
 def reference_greedy_assign(instance, group, eff):
@@ -96,18 +114,19 @@ def test_matches_dense_reference(n, p, use_original_n):
     rows, records = [], []
     while active:
         sr = sort_and_group(inst, active, use_original_n)
-        assert ordered(sr) == ordered(reference_sort_and_group(inst, active, use_original_n))
+        ref_sr = reference_sort_and_group(inst, active, use_original_n)
+        assert program(sr) == ordered(ref_sr)
         satisfied = set()
         for s, group in enumerate(sr.groups, start=1):
             if group:
                 gc = greedy_assign(inst, group, sr.eff)
-                ref, unsat = reference_greedy_assign(inst, group, sr.eff)
-                assert gc == ref
+                ref, unsat = reference_greedy_assign(inst, group, ref_sr.eff)
+                assert code(gc) == ref
                 records.append((s, group, len(ref.sat), len(ref.sat) + len(unsat)))
                 rows += [[0] * inst.m, [0] * inst.m]
                 for j, (v0, v1) in zip(group, gc.vectors):
                     rows[-2][j], rows[-1][j] = v0, v1
-                satisfied |= gc.sat
+                satisfied |= ref.sat
         assert satisfied
         active -= satisfied
     matrix, report = bingreedy(inst, use_original_n=use_original_n)
@@ -129,6 +148,16 @@ def test_state_table_matches_counts_ok():
             after = [c + (k == t) for k, c in enumerate(counts)]
             assert _NEXT[t][state(counts)] == state(after), (counts, t)
             assert _OK[_NEXT[t][state(counts)]] == _counts_ok(after), (counts, t)
+    # _STEP moves a SAT state to its successor, or to _ABSENT once it breaks;
+    # _KEEP marks the steps that stay in SAT. An absent client stays absent
+    # and is never counted as kept.
+    assert _ABSENT == 27 and _STEP.shape == _KEEP.shape == (3, 28)
+    for t in range(3):
+        for st in range(27):
+            nxt = _NEXT[t][st]
+            assert _STEP[t][st] == (nxt if _OK[nxt] else _ABSENT), (st, t)
+            assert _KEEP[t][st] == _OK[nxt], (st, t)
+        assert _STEP[t][_ABSENT] == _ABSENT and _KEEP[t][_ABSENT] == 0
 
 
 class TestSortAndGroup:
@@ -138,28 +167,24 @@ class TestSortAndGroup:
         inst = build_instance(2, [{0, 1}] * 300)
         active = set(inst.non_vacuous_clients())
         sr = sort_and_group(inst, active)
-        assert ordered(sr) == ordered(reference_sort_and_group(inst, active))
+        assert program(sr) == ordered(reference_sort_and_group(inst, active))
         assert [(j, len(c)) for j, c in sr.eff.items()] == [(0, 300)]
 
     def test_demo_ordering_and_groups(self, demo_instance):
         sr = sort_and_group(demo_instance, set(demo_instance.non_vacuous_clients()))
-        assert list(sr.eff.items()) == [
-            (0, frozenset({0, 3, 4, 6})),
-            (1, frozenset({1, 5})),
-            (2, frozenset({2})),
-        ]
+        assert program(sr)[0] == [(0, [0, 3, 4, 6]), (1, [1, 5]), (2, [2])]
         assert sr.groups == [[0], [1], [2]]
 
     def test_single_message_single_client(self):
         inst = build_instance(1, [{0}])
         sr = sort_and_group(inst, {0})
-        assert list(sr.eff.items()) == [(0, frozenset({0}))]
+        assert program(sr)[0] == [(0, [0])]
         assert sr.groups == [[0]]
 
     def test_duplicate_neighbor_sets_drop_second(self):
         inst = build_instance(2, [{0, 1}, {0, 1}])
         sr = sort_and_group(inst, {0, 1})
-        assert list(sr.eff.items()) == [(0, frozenset({0, 1}))]
+        assert program(sr)[0] == [(0, [0, 1])]
 
     def test_effective_clients_partition_active(self):
         inst = random_instance(30, 8, 0.4, seed=2)
@@ -167,8 +192,8 @@ class TestSortAndGroup:
         sr = sort_and_group(inst, active)
         seen = set()
         for eff in sr.eff.values():
-            assert not (seen & eff)
-            seen |= eff
+            assert not (seen & set(eff.tolist()))
+            seen |= set(eff.tolist())
         assert seen == active
 
     def test_degree_band_membership(self):
@@ -192,7 +217,7 @@ class TestSortAndGroup:
             eff_union = set()
             for j, eff in sr.eff.items():
                 if j in group_set:
-                    eff_union |= eff
+                    eff_union |= set(eff.tolist())
             for j in group:
                 hits = sum(1 for i in eff_union if j in inst.requirements[i])
                 assert hits <= len(active) / 2 ** (s - 1)
@@ -209,7 +234,7 @@ class TestSortAndGroup:
             count = lambda msg: sum(1 for i in remaining if msg in inst.requirements[i])
             assert count(j) == len(eff)
             assert all(count(other) <= len(eff) for other in unpicked)
-            remaining -= eff
+            remaining -= set(eff.tolist())
             unpicked.discard(j)
 
     def test_original_n_threshold_variant(self, demo_instance):
@@ -229,26 +254,44 @@ class TestSortAndGroup:
         with pytest.raises(InstanceError, match="active client"):
             sort_and_group(demo_instance, active)
 
+    @pytest.mark.parametrize(
+        "active",
+        [np.array([0, -1]), np.array([0, 7]), np.array([0, 7], dtype=np.uint16),
+         np.array([True, False]), np.array([0.0, 1.0]), np.array([], dtype=np.int64)],
+        ids=["int64-negative", "int64-n", "uint16-n", "bool", "float", "empty"],
+    )
+    def test_bad_active_array_rejected(self, demo_instance, active):
+        # bingreedy passes an index array; a bool array would read as a mask.
+        with pytest.raises(InstanceError, match="active client"):
+            sort_and_group(demo_instance, active)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+    def test_active_array_matches_set(self, dtype):
+        inst = random_instance(50, 12, 0.3, seed=3)
+        active = inst.non_vacuous_clients()[::2]
+        got = sort_and_group(inst, np.array(active, dtype=dtype))
+        assert program(got) == program(sort_and_group(inst, set(active)))
+
 
 class TestGreedyAssign:
     def test_singleton_group(self, demo_instance):
-        eff = {0: frozenset({0, 3, 4, 6})}
+        eff = {0: np.array([0, 3, 4, 6])}
         gc = greedy_assign(demo_instance, [0], eff)
         assert gc.vectors == [(1, 0)]
-        assert gc.sat == {0, 3, 4, 6}
+        assert gc.sat.tolist() == [0, 3, 4, 6]
 
     def test_one_message_all_satisfied(self):
         inst = build_instance(1, [{0}, {0}, {0}])
-        gc = greedy_assign(inst, [0], {0: frozenset({0, 1, 2})})
-        assert gc.sat == {0, 1, 2}
+        gc = greedy_assign(inst, [0], {0: [0, 1, 2]})
+        assert gc.sat.tolist() == [0, 1, 2]
 
     def test_avoids_breaking_double_requirement_client(self):
         # Client 0 requires both group messages; repeating (1,0) on the
         # second message would break it, so the greedy picks (0,1).
         inst = build_instance(2, [{0, 1}, {1}])
-        gc = greedy_assign(inst, [0, 1], {0: frozenset({0}), 1: frozenset({1})})
+        gc = greedy_assign(inst, [0, 1], {0: [0], 1: [1]})
         assert gc.vectors == [(1, 0), (0, 1)]
-        assert gc.sat == {0, 1}
+        assert gc.sat.tolist() == [0, 1]
 
     def test_sat_soundness_replay(self):
         # Replay: after every greedy step, every SAT client passes the span
@@ -282,18 +325,35 @@ class TestGreedyAssign:
     def test_bad_group_message_rejected(self, demo_instance, group):
         # [True] returned a code; -1 and 3 reached numpy's IndexError.
         with pytest.raises(InstanceError, match="group message"):
-            greedy_assign(demo_instance, group, {j: frozenset() for j in group})
+            greedy_assign(demo_instance, group, {j: [] for j in group})
 
     def test_message_missing_from_eff_rejected(self, demo_instance):
         # It raised KeyError.
         with pytest.raises(ValueError, match=r"group messages \[1\]"):
-            greedy_assign(demo_instance, [0, 1], {0: frozenset({0})})
+            greedy_assign(demo_instance, [0, 1], {0: [0]})
 
     def test_repeated_group_message_rejected(self):
         # It returned two coding vectors for message 0.
         inst = random_instance(20, 6, 0.4, seed=1)
         with pytest.raises(ValueError, match=r"group repeats messages \[0\]"):
-            greedy_assign(inst, [0, 2, 0], {0: frozenset({1}), 2: frozenset()})
+            greedy_assign(inst, [0, 2, 0], {0: [1], 2: []})
+
+    @pytest.mark.parametrize(
+        "eff",
+        [{0: [99]}, {0: [-5]}, {0: np.array([1.0])}, {0: np.array([True])},
+         {0: [1, 2], 1: np.array([True])}, {0: [[1, 2]]}, {0: frozenset({1})}],
+        ids=["n", "negative", "float", "bool", "bool-beside-int", "2-d", "set"],
+    )
+    def test_bad_effective_client_rejected(self, demo_instance, eff):
+        # {0: {99, -5}} returned sat == {99, -5}; with one state array, -5
+        # would write client n - 5 and a bool array would read as a mask.
+        with pytest.raises(InstanceError, match="effective client"):
+            greedy_assign(demo_instance, sorted(eff), eff)
+
+    def test_empty_effective_lists_accepted(self, demo_instance):
+        # np.asarray([]) is a float array, but it holds no client.
+        gc = greedy_assign(demo_instance, [0, 1], {0: [], 1: [1, 5]})
+        assert gc.vectors == [(1, 0), (1, 0)] and gc.sat.tolist() == [1, 5]
 
 
 class TestRunRound:
@@ -328,7 +388,7 @@ class TestRunRound:
 
     def test_round_satisfying_no_client_stalls(self, demo_instance, monkeypatch):
         def assign_nothing(instance, group, eff):
-            return GroupCode([(1, 0)] * len(group), sat=set())
+            return GroupCode([(1, 0)] * len(group), sat=np.zeros(0, dtype=np.intp))
 
         module = importlib.import_module("plicode.bingreedy")
         monkeypatch.setattr(module, "greedy_assign", assign_nothing)

@@ -34,7 +34,7 @@ from plicode import (
     random_instance,
     sort_and_group,
 )
-from plicode.bingreedy import SortingResult
+from plicode.bingreedy import GroupCode, SortingResult
 from plicode.fields import MAX_ORDER
 
 PACKAGE = Path(plicode.__file__).parent
@@ -122,7 +122,7 @@ def kind(hint) -> str | None:
         return "int"
     if hint is float:
         return "real"
-    if origin in (set, frozenset, list, tuple, abc.Sequence, abc.Iterable) and args:
+    if origin in (set, frozenset, list, tuple, abc.Collection, abc.Sequence, abc.Iterable) and args:
         return "indices" if kind(args[0]) in ("int", "indices") else None
     return None
 
@@ -138,6 +138,7 @@ def test_kind_reads_the_annotations():
         "int", "int", "real", None, None, "indices", "indices",
     ]
     assert kind(typing.Sequence[typing.Iterable[int]]) == "indices"
+    assert kind(abc.Collection[int]) == "indices"
     assert kind(dict[int, frozenset[int]]) is None
 
 
@@ -163,7 +164,9 @@ def canonical(result):
         return dataclasses.replace(result, witness=canonical(result.witness), elapsed_ms=0)
     if isinstance(result, SortingResult):
         # A dict's == ignores key order; eff's key order is the greedy order.
-        return list(result.eff.items()), result.groups
+        return [(j, c.tolist()) for j, c in result.eff.items()], result.groups
+    if isinstance(result, GroupCode):
+        return result.vectors, result.sat.tolist()
     return result
 
 

@@ -15,6 +15,7 @@ from plicode.fields import (
     FieldSpec,
     FMatrix,
     InconsistentSystemError,
+    check_integers,
     column_words,
     essential,
     essential_columns,
@@ -63,6 +64,29 @@ def gf2_matrices(draw):
     picks = draw(st.lists(st.sets(st.integers(0, len(base) - 1)), max_size=7))
     cols = [sum((base[t] for t in pick), np.zeros(k, dtype=np.int64)) % 2 for pick in picks]
     return np.stack(cols, axis=1) if cols else np.zeros((k, 0), dtype=np.int64)
+
+
+class TestCheckIntegers:
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8])
+    def test_integer_array_in_range_accepted(self, dtype):
+        check_integers(np.array([4, 0, 9], dtype=dtype), 0, 10, "client", ValueError)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([3, -1, 2]), np.array([3, 10, 2]), np.array([10], dtype=np.uint16),
+         np.array([65535, 1], dtype=np.uint16), np.array([True, False]), np.array([1.0, 2.0]),
+         np.array([1, 2.0], dtype=object), np.array([], dtype=np.int64), np.array([], dtype=bool)],
+        ids=["int64-negative", "int64-n", "uint16-n", "uint16-max", "bool", "float", "object",
+             "empty-int", "empty-bool"],
+    )
+    def test_bad_array_rejected(self, values):
+        # An integer array has its min and max checked; any other dtype goes
+        # through the per-type scan, which refuses bool and float members.
+        with pytest.raises(FieldError, match="client"):
+            check_integers(values, 0, 10, "client", FieldError)
+
+    def test_object_array_of_ints_accepted(self):
+        check_integers(np.array([1, 2], dtype=object), 0, 10, "client", FieldError)
 
 
 class TestArithmetic:

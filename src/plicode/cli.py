@@ -117,23 +117,20 @@ def cmd_encode(args) -> int:
     instance = load_instance(args.instance)
     if args.alg == "bingreedy":
         matrix, report = bingreedy(instance, use_original_n=args.use_original_n)
-        report_obj = report.to_json()
     elif args.alg == "randomized":
         matrix, report = randomized_code(instance, seed=args.seed, stopping=args.stopping)
-        report_obj = report.to_json()
     else:
         max_k = instance.m if args.max_k is None else args.max_k
-        res = optimal_code_length(instance, q=args.q, max_K=max_k)
-        if res.witness is None:
+        report = optimal_code_length(instance, q=args.q, max_K=max_k)
+        if report.witness is None:
             raise CliError(f"encode optimal: no code of length <= {max_k} found")
-        matrix = res.witness
-        report_obj = res.to_json()
+        matrix = report.witness
     if args.prune:
         matrix = matrix.prune_zero_rows()
     if not is_valid_code(matrix, instance):
         raise RuntimeError(f"encode {args.alg}: produced matrix failed verification")
     _write_json(matrix.to_json(), args.matrix_out)
-    _write_json(report_obj, args.report_out)
+    _write_json(report.to_json(), args.report_out)
     return 0
 
 
@@ -174,10 +171,7 @@ def cmd_bench(args) -> int:
         raise CliError(f"bench: {exc}") from exc
     rows, summary = run_benchmark(config)
     write_csv(rows, args.out)
-    if args.summary_out:
-        _write_json(summary, args.summary_out)
-    else:
-        print(json.dumps(summary, indent=2))
+    _write_json(summary, args.summary_out)
     return 0
 
 

@@ -30,7 +30,7 @@ from .fields import (
     column_words,
     essential,
     essential_columns,
-    field_vector,
+    field_array,
     solve,
 )
 from .instances import PliableInstance
@@ -124,16 +124,14 @@ def decode_value(
     _check_shape(mat, instance)
     row = instance.client_row(i)
     q = mat.field.q
-    x = field_vector(x, q, "transmission values")
-    if x.shape != (mat.n_rows,):
-        raise DimensionError(f"transmission vector length {x.shape} != {mat.n_rows} rows")
+    x = field_array(x, q, (mat.n_rows,), "transmission values")
     side = np.flatnonzero(~row).tolist()
     if set(side_values) != set(side):
         raise DecodingError(f"side_values keys must be exactly S_{i} = {side}")
     req = np.flatnonzero(row)
     # b holds the side values on S_i and zeros on R_i, so A b is S_i's share of x.
     b = np.zeros(mat.n_cols, dtype=np.int64)
-    b[side] = field_vector([side_values[j] for j in side], q, "side values")
+    b[side] = field_array([side_values[j] for j in side], q, (None,), "side values")
     x = (x - mat.mul_vector(b)) % q
     *words, target = column_words(np.column_stack([mat.entries[:, req], x]), q)
     y, ess = solve(words, target, q)

@@ -10,7 +10,9 @@ Python ints (q > 2). _rref, rank_generic, in_span and solve_consistent form
 an independent int64 RREF reference (in_span on one RREF). FieldSpec alone
 checks a field order: a prime at most MAX_ORDER, so every product of two
 reduced entries fits in int64. The kernels take a bare q from a FieldSpec.
-An empty matrix has rank 0, and the span of an empty set of vectors is {0}.
+field_array alone checks an array a caller hands in: ragged rows or a wrong
+shape raise DimensionError, a float, string or bool member FieldError. An
+empty matrix has rank 0, and the span of an empty set of vectors is {0}.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -73,8 +76,8 @@ def check_integers(values, lo: int, hi: int | None, what: str, error: type[Value
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         extremes = values.min(), values.max()
     else:
-        for t in set(map(type, values)) - {int}:
-            check_integer(next(x for x in values if type(x) is t), lo, hi, what, error)
+        for x in _odd_members(values):
+            check_integer(x, lo, hi, what, error)
         ordered = sorted(values)
         extremes = ordered[0], ordered[-1]
     for x in extremes:
@@ -87,19 +90,33 @@ def check_probability(p, what: str, error: type[ValueError]) -> None:
         raise error(f"{what} must be a number in [0, 1], got {p!r}")
 
 
-def _require_integers(a: np.ndarray, what: str) -> None:
-    # Never truncate: a float, complex, bool or string entry is rejected, not cast.
-    if a.size and a.dtype.kind not in "iu" and not (
-        a.dtype.kind == "O" and all(is_integer(x) for x in a.flat)
+def _odd_members(values) -> list:
+    """One member of each type but int among values, which is iterated twice."""
+    return [next(x for x in values if type(x) is t) for t in set(map(type, values)) - {int}]
+
+
+def field_array(x, q: int | None, shape: tuple, what: str) -> np.ndarray:
+    """x as an array of the given shape (None: any length), reduced mod q into
+    int64 when q is given. Raises DimensionError on ragged rows or another
+    shape, and FieldError on a member numpy would cast (a float, string or
+    bool). An integer ndarray is not scanned; other input has one member of
+    each type but int checked, and any size of Python int passes."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # numpy refuses ragged rows
+        a = None
+    if a is None or a.shape != shape and (
+        a.ndim != len(shape) or any(n not in (None, d) for n, d in zip(shape, a.shape))
     ):
-        raise FieldError(f"{what} must be integers, got dtype {a.dtype}")
-
-
-def field_vector(x, q: int, what: str) -> np.ndarray:
-    """x reduced into F_q as int64; raises FieldError on any non-integer entry."""
-    a = np.asarray(x)
-    _require_integers(a, what)
-    return (a % q).astype(np.int64)
+        got = "ragged rows" if a is None else a.shape
+        raise DimensionError(f"{what} must have shape {str(shape).replace('None', 'any')}, got {got}")
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iu"):
+        for v in _odd_members(list(chain.from_iterable(x)) if a.ndim == 2 else x):
+            if not is_integer(v):
+                raise FieldError(f"{what} must be integers, got {v!r}")
+        if a.dtype.kind == "f":  # an empty list, or ints past int64 among others
+            a = np.asarray(x, dtype=object)
+    return a if q is None else (a % q).astype(np.int64, copy=False)
 
 
 def is_prime(n: int) -> bool:
@@ -135,10 +152,7 @@ class FMatrix:
     field: FieldSpec
 
     def __post_init__(self):
-        a = np.asarray(self.entries)
-        if a.ndim != 2:
-            raise DimensionError(f"matrix entries must be 2-D, got ndim={a.ndim}")
-        _require_integers(a, "matrix entries")
+        a = field_array(self.entries, None, (None, None), "matrix entries")
         if a.size and (a.min() < 0 or a.max() >= self.field.q):
             raise FieldError(f"entries must lie in [0, {self.field.q})")
         a = a.astype(np.int64)
@@ -147,7 +161,7 @@ class FMatrix:
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "FMatrix":
-        return cls(np.asarray(rows), FieldSpec(q))
+        return cls(rows, FieldSpec(q))
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, q: int) -> "FMatrix":
@@ -171,9 +185,7 @@ class FMatrix:
     def mul_vector(self, b) -> np.ndarray:
         """Compute x = A b mod q, reducing each product before the sum so no term overflows."""
         q = self.field.q
-        b = field_vector(b, q, "vector entries")
-        if b.shape != (self.n_cols,):
-            raise DimensionError(f"vector length {b.shape} incompatible with {self.n_cols} columns")
+        b = field_array(b, q, (self.n_cols,), "vector entries")
         return ((self.entries * b) % q).sum(axis=1) % q
 
     def prune_zero_rows(self) -> "FMatrix":
@@ -196,11 +208,6 @@ class FMatrix:
         q, rows = obj["q"], obj["rows"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise DimensionError("rows must be a list of lists")
-        bad = [x for r in rows for x in r if not is_integer(x)]
-        if bad:
-            raise FieldError(f"matrix entries must be integers, got {bad[0]!r}")
-        if len({len(r) for r in rows}) > 1:
-            raise DimensionError("rows must all have the same length")
         if not rows:
             return cls.zeros(0, 0, q)
         return cls.from_rows(rows, q)
@@ -236,11 +243,7 @@ def rank_generic(a: np.ndarray, q: int) -> int:
     """Rank over F_q via Gaussian elimination on a plain integer array;
     raises FieldError on an order FieldSpec refuses or any non-integer entry."""
     q = FieldSpec(q).q
-    a = np.asarray(a)
-    _require_integers(a, "matrix entries")
-    if a.size == 0:
-        return 0
-    return len(_rref(a, q)[1])
+    return len(_rref(field_array(a, q, (None, None), "matrix entries"), q)[1])
 
 
 def column_words(a: np.ndarray, q: int) -> list:
@@ -367,11 +370,8 @@ def in_span(v, vectors, spec: FieldSpec) -> bool:
     The span of an empty collection is {0}. Raises FieldError on any
     non-integer entry.
     """
-    v = field_vector(v, spec.q, "vector entries")
-    vecs = [field_vector(c, spec.q, "span members") for c in vectors]
-    for c in vecs:
-        if c.shape != v.shape:
-            raise DimensionError("span members and test vector must share the same length")
+    v = field_array(v, spec.q, (None,), "vector entries")
+    vecs = [field_array(c, spec.q, v.shape, "span members") for c in vectors]
     if not vecs:
         return not np.any(v)
     # A vector of the row space equals the sum of the RREF rows weighted by
@@ -402,9 +402,9 @@ def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
     FieldError on an order FieldSpec refuses or any non-integer entry.
     """
     q = FieldSpec(q).q
-    a = np.asarray(a)
-    if a.dtype.kind not in "iu":
-        a = field_vector(a, q, "matrix entries")
+    a = field_array(a, None, (None, None), "matrix entries")
+    if a.dtype.kind != "i":  # signed ints cast to int64 exactly; uint64 or Python ints may not
+        a = (a % q).astype(np.int64)
     ess = essential(column_words(a, q), q)
     return np.array([(ess >> t) & 1 for t in range(a.shape[1])], dtype=bool)
 
@@ -425,9 +425,7 @@ def solve_consistent(mat: FMatrix, rhs) -> LinearSolution:
     solutions. Raises InconsistentSystemError if no solution exists.
     """
     q = mat.field.q
-    rhs = field_vector(rhs, q, "rhs entries")
-    if rhs.shape != (mat.n_rows,):
-        raise DimensionError(f"rhs length {rhs.shape} incompatible with {mat.n_rows} rows")
+    rhs = field_array(rhs, q, (mat.n_rows,), "rhs entries")
     aug = np.hstack([mat.entries, rhs[:, None]])
     r, pivots = _rref(aug, q)
     m = mat.n_cols

@@ -15,7 +15,8 @@ fields.essential, which takes every prime q in one column format, so
 nothing here branches on the field order. Witnesses are always re-verified
 through the decodability engine before being returned. MAX_NODES bounds
 the options the length search tries (its .enumerated), checked as it runs,
-and MAX_SUBSPACES the subspaces of the levels minrank_fitted enters.
+and the pairs count_pairwise_independent enumerates, checked on entry;
+MAX_SUBSPACES bounds the subspaces of the levels minrank_fitted enters.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .instances import PliableInstance, all_pairs_instance
 
 
 MAX_NODES = 10**7  # optimal_code_length's budget on options tried, over all levels
+_MEMO_OPTIONS = 2**12  # option tables of at most this many options stay memoised
 MAX_SUBSPACES = 10**6  # minrank_fitted's budget on subspaces, checked per level entered
 _BATCH_CELLS = 2**18  # minrank_fitted's cells per batched product (see _batch_size)
 
@@ -74,6 +76,8 @@ def _tables(q: int, k: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, .
     nonzero entry is 1, e_b first, so the ids below below[r] are supported on
     rows < r and id below[r] is e_r. columns holds the options in
     column_words format. All are tuples, so no search can alter them.
+    Only tables of at most _MEMO_OPTIONS options are memoised: the search
+    builds a larger one through _tables.__wrapped__ and lets it go.
     """
     options = [(0,) * k]
     below = [1]
@@ -124,7 +128,8 @@ def _search_fixed_length(
     n_options = 1 + (q**k - 1) // (q - 1)
     if n_options > budget:
         raise BudgetError(f"{n_options} options per column at K = {k} pass budget {budget} on options tried")
-    options, columns, below, limit = _tables(q, k)
+    tables = _tables if n_options <= _MEMO_OPTIONS else _tables.__wrapped__
+    options, columns, below, limit = tables(q, k)
     # Per column, the key getters of the clients whose last required column
     # it is; itemgetter of one index returns it bare, so that key is wrapped.
     finish: list[list[Callable]] = [[] for _ in range(m)]
@@ -319,8 +324,11 @@ def count_pairwise_independent(q: int) -> int:
     """Maximum number of pairwise linearly independent nonzero vectors in F_q^2.
 
     Counted by exhaustive enumeration of direction classes: one
-    representative per class, first nonzero coordinate normalized to 1."""
+    representative per class, first nonzero coordinate normalized to 1.
+    Raises BudgetError when the q^2 pairs pass MAX_NODES."""
     q = FieldSpec(q).q
+    if q * q > MAX_NODES:
+        raise BudgetError(f"{q * q} pairs over F_{q} pass budget {MAX_NODES}")
     directions = set()
     for x, y in itertools.product(range(q), repeat=2):
         if x or y:

@@ -9,6 +9,11 @@ ValueError subclass from inside plicode: never return, and never raise
 IndexError, KeyError, AttributeError or TypeError. A numpy scalar must
 give the plain call's result. The record classes the library
 builds for its callers are not entry points and are skipped.
+
+Array parameters (matrix rows, vectors, transmissions, side values) are
+listed by hand in ARRAY_CASES: a bool among the ints of a Python list,
+which numpy reads as 1, and ragged rows must each raise FieldError or
+DimensionError.
 """
 
 import dataclasses
@@ -27,15 +32,25 @@ from hypothesis import strategies as st
 
 import plicode
 from plicode import (
+    FieldSpec,
     FMatrix,
     SearchResult,
     all_pairs_instance,
     bingreedy,
+    decode_value,
     random_instance,
     sort_and_group,
 )
 from plicode.bingreedy import GroupCode, SortingResult
-from plicode.fields import MAX_ORDER
+from plicode.fields import (
+    MAX_ORDER,
+    DimensionError,
+    FieldError,
+    essential_columns,
+    in_span,
+    rank_generic,
+    solve_consistent,
+)
 
 PACKAGE = Path(plicode.__file__).parent
 RECORDS = {"ClientStatus", "ResultRow", "RunReport", "SearchResult"}
@@ -257,3 +272,47 @@ def test_numpy_scalar_gives_the_plain_result(name, param, data):
     value = to_numpy(kwargs[param], dtype)
     result = entry(name)(**{**kwargs, param: value})
     assert canonical(result) == plain_result(name)
+
+
+# Per array parameter: a call taking it alone, and a valid value as a Python list.
+ROWS = [[1, 0, 2], [0, 1, 1]]
+MAT = FMatrix.from_rows(ROWS, 3)
+SIDE = INST.side_info(CLIENT)
+X = CODE.mul_vector(np.ones(INST.m, dtype=int))
+ARRAY_CASES = {
+    "FMatrix.from_rows": (lambda rows: FMatrix.from_rows(rows, 3), ROWS),
+    "FMatrix": (lambda rows: FMatrix(rows, FieldSpec(3)), ROWS),
+    "FMatrix.from_json": (lambda rows: FMatrix.from_json({"q": 3, "rows": rows}), ROWS),
+    "rank_generic": (lambda rows: rank_generic(rows, 3), ROWS),
+    "essential_columns": (lambda rows: essential_columns(rows, 3), ROWS),
+    "mul_vector": (MAT.mul_vector, [1, 2, 0]),
+    "solve_consistent": (lambda rhs: solve_consistent(MAT, rhs), [1, 2]),
+    "in_span.v": (lambda v: in_span(v, [[1, 0, 2]], FieldSpec(3)), [2, 0, 1]),
+    "in_span.vectors": (lambda rows: in_span([2, 0, 1], rows, FieldSpec(3)), ROWS),
+    "decode_value.x": (lambda x: decode_value(CODE, INST, CLIENT, x, {j: 1 for j in SIDE}), X.tolist()),
+    "decode_value.side_values": (
+        lambda values: decode_value(CODE, INST, CLIENT, X, dict(zip(SIDE, values))),
+        [1] * len(SIDE),
+    ),
+}
+
+
+def ragged(value):
+    """value with its last row one entry short or, for a vector, its first member a pair."""
+    if isinstance(value[0], list):
+        return value[:-1] + [value[-1][:-1]]
+    return [[value[0], value[0]]] + value[1:]
+
+
+@pytest.mark.parametrize("variant", ["bool", "numpy bool", "ragged"])
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_malformed_array_fails_closed(name, variant):
+    call, valid = ARRAY_CASES[name]
+    call(valid)  # the well-formed call goes through
+    bad = {
+        "bool": lambda: replace_member(valid, True),
+        "numpy bool": lambda: replace_member(valid, np.True_),
+        "ragged": lambda: ragged(valid),
+    }[variant]()
+    with pytest.raises((FieldError, DimensionError)):
+        call(bad)

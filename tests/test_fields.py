@@ -153,6 +153,13 @@ class TestArithmetic:
         a = np.array([[1, 0, 1, 0], [0, 1, 2, 0], [0, 0, 0, 5]], dtype=object)
         assert (essential_columns(a, q) == essential_columns(a.astype(np.int64), q)).all()
 
+    @pytest.mark.parametrize("a", [np.array([[2**64 - 1, 1]], dtype=np.uint64), [[2**64 - 1, 1]]],
+                             ids=["ndarray", "list"])
+    def test_essential_columns_reduces_unsigned_entries_past_int64(self, a):
+        # 2^64 - 1 is 0 mod 3; both inputs are read as uint64, whose cast to
+        # int64 wrapped it to -1, i.e. 2, so column 1 lost its essential mark.
+        assert essential_columns(a, 3).tolist() == [False, True]
+
 
 class TestFMatrix:
     def test_entry_range_enforced(self):
@@ -227,6 +234,12 @@ class TestFMatrix:
         b = [q - 5, q - 6, q - 7, q - 8]
         expected = sum(x * y for x, y in zip(row, b)) % q
         assert FMatrix.from_rows([row], q).mul_vector(b).tolist() == [expected]
+
+    @pytest.mark.parametrize("b, expected", [([2**64 - 1, -1], 2), ([2**70, 1], 2)], ids=["uint64", "object"])
+    def test_mul_vector_exact_past_int64(self, b, expected):
+        # numpy reads [2^64 - 1, -1] as float64, which drops the low bits; it
+        # is read again as Python ints. 2^64 - 1 is 0 mod 3 and 2^70 is 1.
+        assert FMatrix.from_rows([[1, 1]], 3).mul_vector(b).tolist() == [expected]
 
     @pytest.mark.parametrize(
         "b", [[1.7, 0, 1], [1.0, 0.0, 1.0], [True, False, True], np.array([1, "0", 1], dtype=object)],

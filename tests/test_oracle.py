@@ -147,7 +147,6 @@ class TestOptimalCodeLength:
         inst = all_pairs_instance(3)
         res = optimal_code_length(inst, 100003, 2)
         assert (res.value, res.enumerated) == (2, 13)
-        oracle._tables.cache_clear()  # drop the 100,005-option table
         with pytest.raises(BudgetError, match="options per column at K = 2"):
             optimal_code_length(inst, MAX_ORDER, 2)
         # Over F_101, level 2 has 103 options per column.
@@ -216,6 +215,24 @@ class TestCanonicalCodes:
         tables = oracle._tables(3, 2)
         assert all(type(t) is tuple for t in tables)
         assert oracle._tables(3, 2) is tables
+
+    def test_only_small_tables_stay_memoised(self):
+        # This search tries 13 options, but its level-2 table holds 100,005;
+        # kept in the cache, it held about 30 MB after the search returned.
+        inst = all_pairs_instance(3)
+        oracle._tables.cache_clear()
+        res = optimal_code_length(inst, 100003, 2)
+        assert (res.value, res.enumerated) == (2, 13)
+        assert oracle._tables.cache_info().currsize == 1  # level 1's two options
+        # The oracle workload's tables (q <= 13, K <= 3) hold at most 184
+        # options and are built once.
+        first = optimal_code_length(inst, 13, 3)
+        assert oracle._tables.cache_info().currsize == 1 + first.value
+        hits = oracle._tables.cache_info().hits
+        again = optimal_code_length(inst, 13, 3)
+        assert (again.value, again.enumerated) == (first.value, first.enumerated)
+        assert oracle._tables.cache_info().hits == hits + first.value
+        assert 1 + (13**3 - 1) // 12 == 184 <= oracle._MEMO_OPTIONS
 
     @pytest.mark.parametrize("m,k,q", [(3, 2, 3), (4, 2, 2), (3, 3, 2), (2, 2, 5)])
     def test_every_code_has_one_canonical_form_with_the_same_verdicts(self, m, k, q):
@@ -471,9 +488,19 @@ class TestFieldSize:
         with pytest.raises(ValueError, match="integer"):
             min_field_for_length2(3.0)
 
-    @pytest.mark.parametrize("q,expected", [(2, 3), (3, 4), (5, 6)])
+    @pytest.mark.parametrize("q,expected", [(2, 3), (3, 4), (5, 6), (7, 8), (11, 12), (13, 14)])
     def test_pairwise_independent_count(self, q, expected):
         assert count_pairwise_independent(q) == expected
+
+    def test_pairwise_count_refused_past_the_budget(self, monkeypatch):
+        # It enumerates all q^2 pairs: q = 1009 took about 0.5 s, and a q near
+        # 2^31 never returned.
+        with pytest.raises(BudgetError, match="pairs"):
+            count_pairwise_independent(MAX_ORDER)
+        monkeypatch.setattr(oracle, "MAX_NODES", 25)
+        assert count_pairwise_independent(5) == 6
+        with pytest.raises(BudgetError, match="49 pairs over F_7"):
+            count_pairwise_independent(7)
 
     def test_pairwise_independent_exhaustive_check(self):
         # Direct verification for F_5^2 over all vector pairs: two nonzero

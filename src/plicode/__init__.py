@@ -19,7 +19,7 @@ from .decoding import (
     is_valid_code,
     satisfied_set,
 )
-from .fields import FieldSpec, FMatrix, rank
+from .fields import FieldSpec, FMatrix
 from .instances import (
     PliableInstance,
     all_pairs_instance,
@@ -61,7 +61,6 @@ __all__ = [
     "plan_bins",
     "random_instance",
     "randomized_code",
-    "rank",
     "run_benchmark",
     "satisfied_set",
     "sort_and_group",

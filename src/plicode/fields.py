@@ -1,12 +1,12 @@
 """Linear algebra over prime fields F_q.
 
 Matrices are dense numpy integer arrays with entries reduced mod q. This
-module is the only one that branches on the field order. Rank,
-decodability (essential) and consistent solving (solve) run on one
-column-insertion kernel for every prime q: column_words turns each column
-into one Python int with row r at bit r (F_2, eliminated by XOR; every
-column packed by one numpy call into 64-bit limbs) or a tuple of reduced
-Python ints (q > 2). _rref, rank_generic, in_span and solve_consistent form
+module is the only one that branches on the field order. Decodability
+(essential) and consistent solving (solve) run on one column-insertion
+kernel for every prime q: column_words turns each column into one Python
+int with row r at bit r (F_2, eliminated by XOR; every column packed by
+one numpy call into 64-bit limbs) or a tuple of reduced Python ints
+(q > 2). _rref, rank_generic, in_span and solve_consistent form
 an independent int64 RREF reference (in_span on one RREF). FieldSpec alone
 checks a field order: a prime at most MAX_ORDER, so every product of two
 reduced entries fits in int64. The kernels take a bare q from a FieldSpec.
@@ -356,12 +356,6 @@ def solve(words: Sequence, target, q: int) -> tuple[list[int], int]:
                 v = [(x - a * y) % q for x, y in zip(v, hit)]
         values = [-x % q for x in v[k:]]
     return values, ess
-
-
-def rank(mat: FMatrix) -> int:
-    """Rank of a matrix over its field: the size of its column basis."""
-    q = mat.field.q
-    return len(_eliminate(column_words(mat.entries, q), q)[0])
 
 
 def in_span(v, vectors, spec: FieldSpec) -> bool:

@@ -159,6 +159,14 @@ def _compressed_rows(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def _adjacency(n: int, m: int) -> np.ndarray:
+    """An n x m all-False adjacency; numpy's refusal of that size raises InstanceError."""
+    try:
+        return np.zeros((n, m), dtype=bool)
+    except (ValueError, MemoryError) as exc:
+        raise InstanceError(f"no room for {n} clients x {m} messages: {exc}") from exc
+
+
 def build_instance(m: int, requirements: Sequence[Iterable[int]]) -> PliableInstance:
     """Validate and build an instance; duplicate indices within a set collapse.
 
@@ -167,10 +175,7 @@ def build_instance(m: int, requirements: Sequence[Iterable[int]]) -> PliableInst
     """
     m = check_integer(m, 0, None, "message count", InstanceError)
     rows = [list(r) for r in requirements]
-    try:
-        adj = np.zeros((len(rows), m), dtype=bool)
-    except (ValueError, MemoryError) as exc:
-        raise InstanceError(f"no room for {len(rows)} clients x {m} messages: {exc}") from exc
+    adj = _adjacency(len(rows), m)
     for i, r in enumerate(rows):
         if r:
             check_integers(r, 0, m, f"client {i}: message index", InstanceError)
@@ -201,7 +206,7 @@ def random_instance(n: int, m: int, p: float, seed) -> PliableInstance:
     rng = np.random.default_rng(seed_entries(seed, InstanceError))
     # Row blocks of about 2^16 draws, taken in order from one generator, give
     # the bits of a single rng.random((n, m)) < p without its n x m floats.
-    adj = np.empty((n, m), dtype=bool)
+    adj = _adjacency(n, m)
     step = max(1, (1 << 16) // m)
     for a in range(0, n, step):
         block = adj[a : a + step]
@@ -215,9 +220,10 @@ def all_pairs_instance(m: int) -> PliableInstance:
     The pairs follow the singletons in lexicographic order, as
     itertools.combinations lists them."""
     m = check_integer(m, 2, None, "all-pairs m", InstanceError)
+    # The adjacency comes first: it is larger than triu_indices' m x m mask.
+    adj = _adjacency(m + m * (m - 1) // 2, m)
     first, second = np.triu_indices(m, 1)
-    pairs = np.arange(m, m + len(first))
-    adj = np.zeros((m + len(first), m), dtype=bool)
+    pairs = np.arange(m, len(adj))
     adj[:m] = np.eye(m, dtype=bool)
     adj[pairs, first] = True
     adj[pairs, second] = True

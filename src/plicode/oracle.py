@@ -12,11 +12,14 @@ and tests all clients against a batch of them per integer product: a batch
 fills at most _BATCH_CELLS cells, and a level small enough for one batch is
 built once and memoised. The length search judges clients on
 fields.essential, which takes every prime q in one column format, so
-nothing here branches on the field order. Witnesses are always re-verified
-through the decodability engine before being returned. MAX_NODES bounds
-the options the length search tries (its .enumerated), checked as it runs,
-and the pairs count_pairwise_independent enumerates, checked on entry;
-MAX_SUBSPACES bounds the subspaces of the levels minrank_fitted enters.
+nothing here branches on the field order; it caches the options' columns
+only as far as a search has read them. Witnesses are always re-verified
+through the decodability engine. MAX_NODES bounds the options the length
+search tries (its .enumerated), checked as it runs, and the pairs
+count_pairwise_independent enumerates, checked on entry. That bounds time,
+not memory: a level with no code reads option ids up to MAX_NODES, so a
+level with more options per column is refused on entry. MAX_SUBSPACES
+bounds the subspaces of the levels minrank_fitted enters.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .instances import PliableInstance, all_pairs_instance
 
 
 MAX_NODES = 10**7  # optimal_code_length's budget on options tried, over all levels
-_MEMO_OPTIONS = 2**12  # option tables of at most this many options stay memoised
 MAX_SUBSPACES = 10**6  # minrank_fitted's budget on subspaces, checked per level entered
 _BATCH_CELLS = 2**18  # minrank_fitted's cells per batched product (see _batch_size)
 
@@ -67,34 +69,27 @@ class SearchResult:
         }
 
 
-@functools.lru_cache(maxsize=16)
-def _tables(q: int, k: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
-    """_search_fixed_length's constants for k-row codes over F_q, built once.
-
-    options are the columns of canonical codes by id: the zero vector, then
-    for b = 0..k-1 the vectors whose last nonzero row is b and whose first
-    nonzero entry is 1, e_b first, so the ids below below[r] are supported on
-    rows < r and id below[r] is e_r. columns holds the options in
-    column_words format. All are tuples, so no search can alter them.
-    Only tables of at most _MEMO_OPTIONS options are memoised: the search
-    builds a larger one through _tables.__wrapped__ and lets it go.
-    """
-    options = [(0,) * k]
-    below = [1]
+def _options(q: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The columns of canonical k-row codes over F_q, by id: the zero vector,
+    then block b = 0..k-1 of the vectors whose last nonzero row is b: e_b,
+    then c = 1..q-1 at row b under each head (rows < b) whose first nonzero
+    entry is 1, the heads in lexicographic order."""
+    yield (0,) * k
     for b in range(k):
         tail = (0,) * (k - b - 1)
-        for head in itertools.product(range(q), repeat=b):
-            lead = next((x for x in head if x), None)
-            if lead is None:
-                options.append(head + (1,) + tail)  # e_b
-            elif lead == 1:
-                options.extend(head + (c,) + tail for c in range(1, q))
-        below.append(len(options))
-    columns = column_words(np.array(options, dtype=np.int64).T, q)
-    # Options open with r pivots placed: those below[r] supported on rows < r,
-    # plus the new pivot e_r (id below[r]) while r < k.
-    limit = [n + (r < k) for r, n in enumerate(below)]
-    return tuple(options), tuple(columns), tuple(below), tuple(limit)
+        yield (0,) * b + (1,) + tail
+        for lead in reversed(range(b)):  # a later first nonzero row sorts first
+            for rest in itertools.product(range(q), repeat=b - lead - 1):
+                head = (0,) * lead + (1,) + rest
+                for c in range(1, q):
+                    yield head + (c,) + tail
+
+
+@functools.lru_cache(maxsize=16)
+def _columns(q: int, k: int) -> list[tuple]:
+    """(option, its column_words word) for the ids of _options(q, k) read so
+    far by any search, by id. _search_fixed_length only appends to it."""
+    return []
 
 
 def _search_fixed_length(
@@ -113,7 +108,7 @@ def _search_fixed_length(
 
     A client's satisfaction depends only on its own requirement columns, so
     it can be checked (and the branch pruned) as soon as its last required
-    column is assigned. Column col holds options[choice[col]], and a
+    column is assigned. Column col holds option choice[col], and a
     client's verdict is a function of the option ids at its required
     columns alone, so each distinct tuple of ids is judged once per search,
     on plain ints, by fields.essential on the options in column_words format.
@@ -123,13 +118,13 @@ def _search_fixed_length(
     """
     m = instance.m
     budget = MAX_NODES
-    # Option id t is tried only after ids 0..t-1 at its column, so no id >= budget
-    # is ever read: a larger table is refused unbuilt (at a large q it cannot fit).
-    n_options = 1 + (q**k - 1) // (q - 1)
-    if n_options > budget:
-        raise BudgetError(f"{n_options} options per column at K = {k} pass budget {budget} on options tried")
-    tables = _tables if n_options <= _MEMO_OPTIONS else _tables.__wrapped__
-    options, columns, below, limit = tables(q, k)
+    # below[r] options are supported on rows < r, and id below[r] is e_r. With r
+    # pivots placed, the ids below limit[r] are open: those, and e_r while r < k.
+    below = [1 + (q**r - 1) // (q - 1) for r in range(k + 1)]
+    limit = [n + 1 for n in below[:k]] + [below[k]]
+    if below[k] > budget:
+        raise BudgetError(f"{below[k]} options per column at K = {k} pass budget {budget} on options tried")
+    columns = _columns(q, k)
     # Per column, the key getters of the clients whose last required column
     # it is; itemgetter of one index returns it bare, so that key is wrapped.
     finish: list[list[Callable]] = [[] for _ in range(m)]
@@ -153,17 +148,22 @@ def _search_fixed_length(
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetError(f"length search passed budget {budget} on options tried, at K = {k}")
+        if t == len(columns):
+            # First read past the cache (ids go in order): double it from words
+            # built in full beforehand, so it stays a prefix.
+            new = list(itertools.islice(_options(q, k), t, 2 * t + 1))
+            columns += zip(new, column_words(np.array(new, dtype=np.int64).T, q))
         for get in finish[col]:
             key = get(choice)
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = essential([columns[t] for t in key], q) != 0
+                ok = verdicts[key] = essential([columns[t][1] for t in key], q) != 0
             if not ok:
                 break
         else:
             pivots[col + 1] = r + (t == below[r])
             col += 1
-    return np.array([options[t] for t in choice], dtype=np.int64).T
+    return np.array([columns[t][0] for t in choice], dtype=np.int64).T
 
 
 def optimal_code_length(instance: PliableInstance, q: int, max_K: int) -> SearchResult:

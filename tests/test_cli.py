@@ -58,6 +58,21 @@ class TestGen:
                   "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "--n", "10000000000", "--m", "10000000000"],  # past numpy's largest array
+            ["all-pairs", "--m", "1000000"],  # 444 PiB, past the address space
+        ],
+        ids=["random", "all-pairs"],
+    )
+    def test_oversized_instance_exits_2(self, tmp_path, capsys, argv):
+        # numpy's refusal escaped and exited 3, the internal-failure status.
+        out = tmp_path / "x.json"
+        assert main(["gen", *argv, "--out", str(out)]) == 2
+        assert "no room for" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_m_is_error(self, tmp_path, capsys):
         rc = main(["gen", "random", "--n", "5", "--out", str(tmp_path / "x.json")])
         assert rc == 2

@@ -1,13 +1,17 @@
 """Exact oracles: brute-force code length, constrained minrank, field sizes."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plicode import oracle
 from plicode.decoding import is_valid_code
-from plicode.fields import MAX_ORDER, FieldError, FMatrix, _rref, essential_columns, rank_generic
+from plicode.fields import MAX_ORDER, FieldError, FMatrix, _rref, column_words, essential_columns, rank_generic
 from plicode.instances import all_pairs_instance, build_instance, random_instance
 from plicode.oracle import (
     BudgetError,
@@ -141,9 +145,9 @@ class TestOptimalCodeLength:
         assert levels[-1] == (2, [11])
 
     def test_option_table_past_the_budget_refused(self, monkeypatch):
-        # Level k over F_q has 1 + (q^k - 1) / (q - 1) options per column, and
-        # no id >= MAX_NODES is ever tried, so a larger table is refused before
-        # it is built: at q = 2^31 - 1, level 2 would hold 2^31 + 1 options.
+        # Level k over F_q has 1 + (q^k - 1) / (q - 1) options per column, and a
+        # level with no code reads ids up to MAX_NODES, so a level with more is
+        # refused on entry: at q = 2^31 - 1, level 2 holds 2^31 + 1 options.
         inst = all_pairs_instance(3)
         res = optimal_code_length(inst, 100003, 2)
         assert (res.value, res.enumerated) == (2, 13)
@@ -155,6 +159,29 @@ class TestOptimalCodeLength:
         monkeypatch.setattr(oracle, "MAX_NODES", 102)
         with pytest.raises(BudgetError, match="103 options"):
             optimal_code_length(inst, 101, 2)
+
+    def test_large_field_memory_follows_the_options_tried(self):
+        # Level 3 over F_1009 holds 1,019,092 options per column, of which the
+        # search tries 2,037; building them all grew the peak RSS by about 320 MB.
+        # A fresh process, so no earlier test has raised the peak already.
+        code = (
+            "import resource\n"
+            "from plicode.instances import build_instance\n"
+            "from plicode.oracle import optimal_code_length\n"
+            "inst = build_instance(3, [{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}])\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "res = optimal_code_length(inst, 1009, 3)\n"
+            "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak\n"
+            "print(res.value, res.enumerated, grew)\n"
+        )
+        src = str(Path(oracle.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        value, enumerated, grew_kb = map(int, out.stdout.split())
+        assert (value, enumerated) == (3, 2037)
+        assert grew_kb < 50 * 1024
 
     def test_numpy_budget_does_not_wrap(self):
         # Level 1 holds 2^64 canonical codes, a count that reads 0 in int64;
@@ -210,29 +237,25 @@ def _canonical_form(a, q):
 
 
 class TestCanonicalCodes:
-    def test_shared_tables_are_immutable(self):
-        # _tables is memoised across searches, so a search must not be able to alter it.
-        tables = oracle._tables(3, 2)
-        assert all(type(t) is tuple for t in tables)
-        assert oracle._tables(3, 2) is tables
-
-    def test_only_small_tables_stay_memoised(self):
-        # This search tries 13 options, but its level-2 table holds 100,005;
-        # kept in the cache, it held about 30 MB after the search returned.
-        inst = all_pairs_instance(3)
-        oracle._tables.cache_clear()
-        res = optimal_code_length(inst, 100003, 2)
+    def test_cached_columns_follow_the_options_tried(self):
+        # Level 2 over F_100003 holds 100,005 options per column; the search
+        # tries 13 options in all, so it reads no id past 13, and the cache
+        # at most doubles past the largest id read.
+        oracle._columns.cache_clear()
+        res = optimal_code_length(all_pairs_instance(3), 100003, 2)
         assert (res.value, res.enumerated) == (2, 13)
-        assert oracle._tables.cache_info().currsize == 1  # level 1's two options
-        # The oracle workload's tables (q <= 13, K <= 3) hold at most 184
-        # options and are built once.
-        first = optimal_code_length(inst, 13, 3)
-        assert oracle._tables.cache_info().currsize == 1 + first.value
-        hits = oracle._tables.cache_info().hits
-        again = optimal_code_length(inst, 13, 3)
-        assert (again.value, again.enumerated) == (first.value, first.enumerated)
-        assert oracle._tables.cache_info().hits == hits + first.value
-        assert 1 + (13**3 - 1) // 12 == 184 <= oracle._MEMO_OPTIONS
+        assert len(oracle._columns(100003, 2)) <= 2 * 13 + 1
+
+    def test_cached_columns_are_a_prefix_of_the_options(self, quad_instance):
+        # The columns are shared across searches, which only append to them.
+        all_subsets = build_instance(3, [{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}])
+        for inst, q, max_K in [(quad_instance, 2, 4), (quad_instance, 3, 2), (all_subsets, 1009, 3)]:
+            value = optimal_code_length(inst, q, max_K).value
+            for k in range(1, value + 1):
+                cached = oracle._columns(q, k)
+                prefix = list(itertools.islice(oracle._options(q, k), len(cached)))
+                assert cached and [option for option, _ in cached] == prefix
+                assert [word for _, word in cached] == column_words(np.array(prefix, dtype=np.int64).T, q)
 
     @pytest.mark.parametrize("m,k,q", [(3, 2, 3), (4, 2, 2), (3, 3, 2), (2, 2, 5)])
     def test_every_code_has_one_canonical_form_with_the_same_verdicts(self, m, k, q):
@@ -240,7 +263,8 @@ class TestCanonicalCodes:
         # search may visit, those whose every column is an option open at its
         # pivot count, and each has the original's essential columns on every
         # column subset, so every client's verdict.
-        options, _, below, _ = oracle._tables(q, k)
+        options = list(oracle._options(q, k))
+        below = [1 + (q**r - 1) // (q - 1) for r in range(k + 1)]
         allowed = set()
         for seq in itertools.product(range(len(options)), repeat=m):  # at most 512
             r = 0
@@ -403,6 +427,19 @@ class TestMinrankFitted:
     def test_vacuous_only(self):
         inst = build_instance(2, [set()])
         assert minrank_fitted(inst, q=3, max_r=2).value == 0
+
+    def test_vacuous_only_witness(self):
+        # No client to serve: the empty code, 0 x m, with no subspace tried.
+        res = minrank_fitted(build_instance(3, [set(), set()]), q=3, max_r=2)
+        assert (res.value, res.witness.entries.shape, res.enumerated) == (0, (0, 3), 0)
+
+    def test_budget_is_exact(self, quad_instance, monkeypatch):
+        # Over F_3 the answer is in level 2; levels 1..2 of F_3^4 hold 40 + 130 subspaces.
+        monkeypatch.setattr(oracle, "MAX_SUBSPACES", 170)
+        assert minrank_fitted(quad_instance, q=3, max_r=4).value == 2
+        monkeypatch.setattr(oracle, "MAX_SUBSPACES", 169)
+        with pytest.raises(BudgetError, match="170 subspaces"):
+            minrank_fitted(quad_instance, q=3, max_r=4)
 
     def test_budget_guard(self, monkeypatch):
         inst = all_pairs_instance(6)

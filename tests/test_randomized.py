@@ -308,6 +308,18 @@ class TestRandomizedCode:
         with pytest.raises(RandomizedCapError, match="bin"):
             randomized_code(inst, seed=1)
 
+    def test_row_cap_is_exact(self, monkeypatch):
+        # Seed 1 satisfies this bin on its third row: a cap of 3 rows lets the
+        # bin finish with the uncapped code, and a cap of 2 stops it.
+        inst = build_instance(2, [{0, 1} for _ in range(4)])
+        matrix, report = randomized_code(inst, seed=1)
+        assert [b.rows for b in report.bins] == [3]
+        monkeypatch.setattr(randomized, "MAX_ROWS_PER_BIN", 3)
+        assert randomized_code(inst, seed=1)[0].equals(matrix)
+        monkeypatch.setattr(randomized, "MAX_ROWS_PER_BIN", 2)
+        with pytest.raises(RandomizedCapError, match="2 rows drawn"):
+            randomized_code(inst, seed=1)
+
     @pytest.mark.parametrize("seed", [True, 1.9, -1, [1, 2.0], [1, True], (1, -2)])
     def test_seed_never_truncated(self, seed):
         # Not read as seed 1 (or [1, 2], [1, 1]).

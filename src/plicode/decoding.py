@@ -1,18 +1,18 @@
 """Client-side decodability: which messages a coding matrix delivers.
 
 A client can uniquely decode message j iff column a_j lies outside the
-span of the other columns indexed by its requirement set. The whole-code
-checks put the code's columns in fields.column_words format once and run
+span of the other columns indexed by its requirement set. Every reader
+slices FMatrix.words, the code's columns in fields.column_words format:
+no client view; each code is packed once. The whole-code checks run
 fields.essential per client, reading each R_i as a slice of the instance's
-client-major view; decodable_messages runs fields.essential_columns on R_i,
-empty or not. The single-client readers read the client's adjacency row and
-build no view. satisfied_set takes only the code and the instance: every
-non-vacuous client is judged.
+client-major view; decodable_messages runs it on R_i's words, empty or not.
+The single-client readers read the client's adjacency row. satisfied_set
+takes only the code and the instance: every non-vacuous client is judged.
 
 decode_value strips the side information through the code's own
 mul_vector, on a message vector that is zero on R_i, and recovers a value
-from one fields.solve call on the client's required columns and the
-stripped transmissions: the same elimination that decides decodability
+from one fields.solve call on R_i's words and the stripped transmissions,
+packed as one column: the same elimination that decides decodability
 yields one solution, read at the smallest decodable index. Nothing here
 branches on the field order or checks it: the code's FieldSpec did.
 """
@@ -29,7 +29,6 @@ from .fields import (
     FMatrix,
     column_words,
     essential,
-    essential_columns,
     field_array,
     solve,
 )
@@ -59,9 +58,9 @@ def decodable_messages(mat: FMatrix, instance: PliableInstance, i: int) -> set[i
 
     Raises InstanceError unless i is an integer in [0, n)."""
     _check_shape(mat, instance)
-    req = np.flatnonzero(instance.client_row(i))
-    mask = essential_columns(mat.entries[:, req], mat.field.q)
-    return set(req[mask].tolist())
+    req = np.flatnonzero(instance.client_row(i)).tolist()
+    ess = essential([mat.words[j] for j in req], mat.field.q)
+    return {j for t, j in enumerate(req) if ess >> t & 1}
 
 
 def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[int, int | None]]:
@@ -71,7 +70,7 @@ def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[
     indptr, indices = instance.messages_by_client
     bounds, cols = indptr.tolist(), indices.tolist()
     # The columns laid out edge by edge: R_i's words are one slice.
-    words = column_words(mat.entries, q)
+    words = mat.words
     edge_words = [words[j] for j in cols]
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if a == b:
@@ -128,17 +127,16 @@ def decode_value(
     side = np.flatnonzero(~row).tolist()
     if set(side_values) != set(side):
         raise DecodingError(f"side_values keys must be exactly S_{i} = {side}")
-    req = np.flatnonzero(row)
+    req = np.flatnonzero(row).tolist()
     # b holds the side values on S_i and zeros on R_i, so A b is S_i's share of x.
     b = np.zeros(mat.n_cols, dtype=np.int64)
     b[side] = field_array([side_values[j] for j in side], q, (None,), "side values")
     x = (x - mat.mul_vector(b)) % q
-    *words, target = column_words(np.column_stack([mat.entries[:, req], x]), q)
-    y, ess = solve(words, target, q)
+    y, ess = solve([mat.words[j] for j in req], column_words(x[:, None], q)[0], q)
     if not ess:
         raise DecodingError(f"client {i} cannot uniquely decode any required message")
     t = (ess & -ess).bit_length() - 1
-    return int(req[t]), y[t]
+    return req[t], y[t]
 
 
 def report_to_json(report: list[ClientStatus]) -> list[dict]:

@@ -6,8 +6,9 @@ module is the only one that branches on the field order. Decodability
 kernel for every prime q: column_words turns each column into one Python
 int with row r at bit r (F_2, eliminated by XOR; every column packed by
 one numpy call into 64-bit limbs) or a tuple of reduced Python ints
-(q > 2). _rref, rank_generic, in_span and solve_consistent form
-an independent int64 RREF reference (in_span on one RREF). FieldSpec alone
+(q > 2); FMatrix.words is a code's columns so packed, once per code. _rref,
+rank_generic, in_span and solve_consistent form an independent int64 RREF
+reference (in_span on one RREF). FieldSpec alone
 checks a field order: a prime at most MAX_ORDER, so every product of two
 reduced entries fits in int64. The kernels take a bare q from a FieldSpec.
 field_array alone checks an array a caller hands in: ragged rows or a wrong
@@ -17,6 +18,7 @@ empty matrix has rank 0, and the span of an empty set of vectors is {0}.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -173,6 +175,11 @@ class FMatrix:
         except (ValueError, MemoryError) as exc:
             raise DimensionError(f"no room for a {n_rows} x {n_cols} matrix: {exc}") from exc
         return cls(entries, field)
+
+    @functools.cached_property
+    def words(self) -> tuple:
+        """The columns in column_words format, packed on first use; entries is read-only, so it never goes stale."""
+        return tuple(column_words(self.entries, self.field.q))
 
     @property
     def n_rows(self) -> int:
@@ -393,12 +400,10 @@ def essential_columns(a: np.ndarray, q: int) -> np.ndarray:
 
     Column j is outside the span of the rest iff every null-space vector of
     the matrix has a zero j-th coordinate; essential finds them. Raises
-    FieldError on an order FieldSpec refuses or any non-integer entry.
-    """
+    FieldError on an order FieldSpec refuses or any non-integer entry. No
+    program path calls it: decoding runs essential on FMatrix.words."""
     q = FieldSpec(q).q
-    a = field_array(a, None, (None, None), "matrix entries")
-    if a.dtype.kind != "i":  # signed ints cast to int64 exactly; uint64 or Python ints may not
-        a = (a % q).astype(np.int64)
+    a = field_array(a, q, (None, None), "matrix entries")
     ess = essential(column_words(a, q), q)
     return np.array([(ess >> t) & 1 for t in range(a.shape[1])], dtype=bool)
 

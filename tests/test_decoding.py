@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from plicode import decoding, fields
 from plicode.bingreedy import bingreedy
 from plicode.decoding import (
     DecodingError,
@@ -18,6 +19,8 @@ from plicode.fields import (
     FieldSpec,
     FMatrix,
     InconsistentSystemError,
+    column_words,
+    essential_columns,
     in_span,
     solve_consistent,
 )
@@ -42,17 +45,36 @@ class TestDecodableMessages:
         assert decodable_messages(FMatrix.zeros(1, 2, 2), inst, 0) == set()
 
     def test_matches_span_criterion(self):
-        inst = random_instance(6, 4, 0.6, seed=5)
-        mat = FMatrix.from_rows([[1, 1, 1, 0], [0, 1, 2, 1]], 3)
-        spec = FieldSpec(3)
-        for i in range(inst.n):
-            req = sorted(inst.requirements[i])
-            expected = {
-                j
-                for j in req
-                if not in_span(mat.entries[:, j], [mat.entries[:, t] for t in req if t != j], spec)
-            }
-            assert decodable_messages(mat, inst, i) == expected
+        # Two independent paths, the code's packed view (decodable_messages)
+        # and essential_columns on R_i's entries, each against the in_span
+        # RREF reference. Over q = 2, 3, 5 and 7 the first 64 rows of each code
+        # have rank at most 3, so dependencies are common; the 70-row F_2 code
+        # has each column's words in two 64-bit limbs, and its last 6 rows
+        # (the second limb) break some of the first 64 rows' dependencies.
+        codes = [
+            (random_instance(6, 4, 0.6, seed=5), FMatrix.from_rows([[1, 1, 1, 0], [0, 1, 2, 1]], 3))
+        ]
+        for q, k in ((2, 3), (3, 3), (5, 3), (7, 3), (2, 70)):
+            rng = np.random.default_rng([5, q, k])
+            coeffs = rng.integers(0, q, size=(3, 8)) * (rng.random((3, 8)) < 0.5)
+            entries = rng.integers(0, q, size=(k, 3)) @ coeffs % q
+            if k > 64:
+                entries[64:] = rng.random((k - 64, 8)) < 0.2
+            codes.append((random_instance(12, 8, 0.5, seed=[5, q, k]), FMatrix(entries, FieldSpec(q))))
+        outcomes = {"none": 0, "some": 0, "all": 0}
+        for inst, mat in codes:
+            for i in range(inst.n):
+                req = inst.requirements[i]
+                expected = {
+                    j
+                    for j in req
+                    if not in_span(mat.entries[:, j], [mat.entries[:, t] for t in req if t != j], mat.field)
+                }
+                assert decodable_messages(mat, inst, i) == expected
+                ess = essential_columns(mat.entries[:, np.array(req, dtype=int)], mat.field.q)
+                assert {req[t] for t in np.flatnonzero(ess)} == expected
+                outcomes["none" if not expected else "all" if len(expected) == len(req) else "some"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
 
 
 class TestSatisfiedSet:
@@ -255,6 +277,33 @@ def test_single_client_readers_build_no_client_view():
             assert j == min(decodable_messages(code, inst, i)) and value == b[j]
     assert "messages_by_client" not in inst.__dict__
     assert "requirements" not in inst.__dict__
+
+
+def test_a_code_is_packed_once(monkeypatch):
+    # Every decoding reader slices the code's FMatrix.words, packed on first
+    # use; the only other packing is decode_value's target, one column.
+    shapes = []
+
+    def recording(a, q):
+        shapes.append(np.shape(a))
+        return column_words(a, q)
+
+    monkeypatch.setattr(fields, "column_words", recording)
+    monkeypatch.setattr(decoding, "column_words", recording)
+    inst = random_instance(40, 12, 0.3, seed=4)
+    rng = np.random.default_rng(4)
+    for q, entries in ((2, bingreedy(inst)[0].entries), (5, rng.integers(0, 5, size=(4, 12)))):
+        code = FMatrix(entries, FieldSpec(q))
+        shapes.clear()
+        b = rng.integers(0, q, size=inst.m)
+        x = code.mul_vector(b)
+        satisfied, _ = satisfied_set(code, inst)
+        for i in range(inst.n):
+            decodable_messages(code, inst, i)
+        for i in sorted(satisfied):
+            decode_value(code, inst, i, x, {j: int(b[j]) for j in inst.side_info(i)})
+        assert satisfied
+        assert shapes == [code.entries.shape] + [(code.n_rows, 1)] * len(satisfied)
 
 
 class TestEndToEnd:

@@ -9,12 +9,13 @@ client-major view; decodable_messages runs it on R_i's words, empty or not.
 The single-client readers read the client's adjacency row. satisfied_set
 takes only the code and the instance: every non-vacuous client is judged.
 
-decode_value strips the side information through the code's own
-mul_vector, on a message vector that is zero on R_i, and recovers a value
-from one fields.solve call on R_i's words and the stripped transmissions,
-packed as one column: the same elimination that decides decodability
-yields one solution, read at the smallest decodable index. Nothing here
-branches on the field order or checks it: the code's FieldSpec did.
+decode_value packs the transmissions as one column, strips the side
+information from it with fields.strip on S_i's words, and recovers a value
+from one fields.solve call on R_i's words and the stripped column: the
+same elimination that decides decodability yields one solution, read at
+the smallest decodable index. A code reaches decoding only through
+FMatrix.words, never its entries. Nothing here branches on the field
+order or checks it: the code's FieldSpec did.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .fields import (
     essential,
     field_array,
     solve,
+    strip,
 )
 from .instances import PliableInstance
 
@@ -59,8 +61,14 @@ def decodable_messages(mat: FMatrix, instance: PliableInstance, i: int) -> set[i
     Raises InstanceError unless i is an integer in [0, n)."""
     _check_shape(mat, instance)
     req = np.flatnonzero(instance.client_row(i)).tolist()
-    ess = essential([mat.words[j] for j in req], mat.field.q)
-    return {j for t, j in enumerate(req) if ess >> t & 1}
+    words = mat.words
+    ess = essential([words[j] for j in req], mat.field.q)
+    out = set()
+    while ess:
+        low = ess & -ess
+        out.add(req[low.bit_length() - 1])
+        ess ^= low
+    return out
 
 
 def _first_decodable(mat: FMatrix, instance: PliableInstance) -> Iterator[tuple[int, int | None]]:
@@ -113,8 +121,8 @@ def decode_value(
     """Recover one new message value for client i from the transmissions.
 
     x must equal A b for a message vector b consistent with side_values
-    (values of b on S_i). Strips the side information from x as x - A b',
-    where b' is b on S_i and zero on R_i, solves the reduced system on R_i's
+    (values of b on S_i). Strips the side information from x, subtracting
+    each side value times its column, solves the reduced system on R_i's
     columns, and returns the smallest uniquely determined message index
     with its value. Raises InstanceError unless i is an integer in
     [0, n), and InconsistentSystemError, before any DecodingError, when no
@@ -128,11 +136,10 @@ def decode_value(
     if set(side_values) != set(side):
         raise DecodingError(f"side_values keys must be exactly S_{i} = {side}")
     req = np.flatnonzero(row).tolist()
-    # b holds the side values on S_i and zeros on R_i, so A b is S_i's share of x.
-    b = np.zeros(mat.n_cols, dtype=np.int64)
-    b[side] = field_array([side_values[j] for j in side], q, (None,), "side values")
-    x = (x - mat.mul_vector(b)) % q
-    y, ess = solve([mat.words[j] for j in req], column_words(x[:, None], q)[0], q)
+    values = field_array([side_values[j] for j in side], q, (None,), "side values").tolist()
+    words = mat.words
+    target = strip(column_words(x[:, None], q)[0], [words[j] for j in side], values, q)
+    y, ess = solve([words[j] for j in req], target, q)
     if not ess:
         raise DecodingError(f"client {i} cannot uniquely decode any required message")
     t = (ess & -ess).bit_length() - 1

@@ -6,7 +6,8 @@ module is the only one that branches on the field order. Decodability
 kernel for every prime q: column_words turns each column into one Python
 int with row r at bit r (F_2, eliminated by XOR; every column packed by
 one numpy call into 64-bit limbs) or a tuple of reduced Python ints
-(q > 2); FMatrix.words is a code's columns so packed, once per code. _rref,
+(q > 2); FMatrix.words is a code's columns so packed, once per code, and
+strip subtracts a combination of packed columns from a packed target. _rref,
 rank_generic, in_span and solve_consistent form an independent int64 RREF
 reference (in_span on one RREF). FieldSpec alone
 checks a field order: a prime at most MAX_ORDER, so every product of two
@@ -21,8 +22,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -190,7 +192,9 @@ class FMatrix:
         return self.entries.shape[1]
 
     def mul_vector(self, b) -> np.ndarray:
-        """Compute x = A b mod q, reducing each product before the sum so no term overflows."""
+        """Compute x = A b mod q, reducing each product before the sum so no term overflows.
+
+        No program path calls it: decode_value strips on FMatrix.words."""
         q = self.field.q
         b = field_array(b, q, (self.n_cols,), "vector entries")
         return ((self.entries * b) % q).sum(axis=1) % q
@@ -329,6 +333,23 @@ def _eliminate(words: Sequence, q: int) -> tuple[dict, int]:
 def essential(words: Sequence, q: int) -> int:
     """Bit t set iff column t (column_words format) lies outside the F_q span of the others."""
     return _eliminate(words, q)[1]
+
+
+def strip(target, words: Sequence, values: Sequence, q: int):
+    """target - sum of values[t] * words[t] over F_q, target and words in column_words format.
+
+    values are Python or numpy integers of any sign and size; they are not
+    checked. Over F_2 the words at odd values are XOR-ed into target, the
+    loop in C; over q > 2 each row is one sum of Python-int products, exact
+    for every order up to MAX_ORDER."""
+    if q == 2:
+        odd = map(operator.and_, values, repeat(1))
+        return functools.reduce(operator.xor, compress(words, odd), target)
+    if not words:
+        return tuple(x % q for x in target)
+    # Python ints: a sum of numpy int64 products could overflow.
+    values = [operator.index(v) % q for v in values]
+    return tuple((x - sum(map(operator.mul, values, row))) % q for x, row in zip(target, zip(*words)))
 
 
 def solve(words: Sequence, target, q: int) -> tuple[list[int], int]:

@@ -262,6 +262,31 @@ def test_f2_value_recovery_matches_solve_consistent_reference():
         assert min(outcomes.values()) >= 20, (q, outcomes)
 
 
+@pytest.mark.parametrize("q", [2, MAX_ORDER], ids=["F2", "F_max"])
+def test_side_values_are_reduced_mod_q(q):
+    # Negative side values, values at least q, numpy int64 values, Python
+    # ints past int64 and a mix of all four decode as their residues do.
+    rng = np.random.default_rng([41, q])
+    inst = random_instance(12, 6, 0.5, seed=41)
+    mat = FMatrix(rng.integers(0, q, size=(4, 6)), FieldSpec(q))
+    b = rng.integers(0, q, size=6)
+    x = mat.mul_vector(b)
+    kinds = [lambda v: v - q, lambda v: v + 3 * q, np.int64, lambda v: v + q * 2**70]
+    decoded = 0
+    for i in inst.non_vacuous_clients():
+        side = {j: int(b[j]) for j in inst.side_info(i)}
+        try:
+            expected = decode_value(mat, inst, i, x, side)
+        except DecodingError:
+            continue
+        variants = [{j: kind(v) for j, v in side.items()} for kind in kinds]
+        variants.append({j: kinds[t % len(kinds)](v) for t, (j, v) in enumerate(side.items())})
+        for unreduced in variants:
+            assert decode_value(mat, inst, i, x, unreduced) == expected
+        decoded += 1
+    assert decoded >= 3
+
+
 def test_single_client_readers_build_no_client_view():
     # Every single-client reader goes through the client's adjacency row;
     # only sweeps over every client and the encoders build the client-major

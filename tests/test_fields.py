@@ -24,6 +24,7 @@ from plicode.fields import (
     rank_generic,
     solve,
     solve_consistent,
+    strip,
 )
 
 
@@ -405,6 +406,34 @@ class TestFqKernel:
     def test_no_rows(self):
         # Over zero rows every column is the zero vector, in the span {0}.
         assert essential([(), ()], 3) == 0
+
+
+class TestStrip:
+    """strip against an object-dtype product reference, target - A values
+    mod q, with values of every kind a caller may hold."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, MAX_ORDER])
+    def test_matches_object_product_reference(self, q):
+        rng = np.random.default_rng([37, q])
+        kinds = [
+            lambda v: v,
+            lambda v: v - 3 * q,  # negative
+            lambda v: v + 2 * q,  # at least q
+            np.int64,
+            lambda v: np.int64(v - q),
+            lambda v: v + q * 2**70,  # a Python int past int64
+        ]
+        for k in (0, 1, 5, 70):  # 70 rows span two 64-bit limbs over F_2
+            for n in (0, 1, 4, 9):  # n = 0: no words, target unchanged
+                a = rng.integers(0, q, size=(k, n))
+                rhs = rng.integers(0, q, size=k)
+                residues = rng.integers(0, q, size=n).tolist()
+                values = [kinds[int(rng.integers(len(kinds)))](v) for v in residues]
+                product = a.astype(object) @ np.array([int(v) for v in values], dtype=object)
+                expected = ((rhs.astype(object) - product) % q).astype(np.int64)
+                got = strip(column_words(rhs[:, None], q)[0], column_words(a, q), values, q)
+                assert got == column_words(expected[:, None], q)[0]
+                assert all(type(x) is int for x in ([got] if q == 2 else got))
 
 
 class TestInSpan:

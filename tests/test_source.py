@@ -1,7 +1,8 @@
 """Source hygiene: every name a plicode module imports is used in it, the
 package exports exactly the names its __init__.py imports, only fields
 compares a field order with 2 or uses the type predicates behind its input
-checks, and the values a caller can set are pinned.
+checks, decoding reads a code only through its packed words, and the values
+a caller can set are pinned.
 
 __init__.py is skipped by the unused-import check, since its imports are
 the package's re-exports.
@@ -89,6 +90,25 @@ def test_detects_a_field_order_comparison():
 def test_only_fields_branches_on_the_field_order(path):
     # fields alone chooses between the F_2 and the q > 2 column formats.
     assert field_order_comparisons(path.read_text()) == []
+
+
+def code_entry_reads(source: str) -> list[str]:
+    """Lines that read an .entries attribute or name .mul_vector."""
+    return [
+        f"line {node.lineno}: {node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("entries", "mul_vector")
+    ]
+
+
+def test_detects_a_code_entry_read():
+    src = "a = mat.entries\nx = mat.mul_vector(b)\nw = mat.words\nentries = 1\n"
+    assert code_entry_reads(src) == ["line 1: entries", "line 2: mul_vector"]
+
+
+def test_decoding_reads_a_code_only_through_its_words():
+    # Every decoding reader slices FMatrix.words, the code's one packed view.
+    assert code_entry_reads((SRC / "decoding.py").read_text()) == []
 
 
 def type_predicate_uses(source: str) -> list[str]:
